@@ -19,12 +19,6 @@ from typing import Iterator
 from repro.errors import ProtocolError
 from repro.storage.data import FileData, SyntheticData
 from repro.util.ranges import ByteRangeSet
-from repro.util.vector import HAS_NUMPY, np
-
-#: below this many blocks (or ranges) the scalar loops win — vector setup
-#: overhead dominates tiny plans, and tiny plans are the fleet hot path
-VECTOR_MIN_BLOCKS = 64
-VECTOR_MIN_RANGES = 8
 
 #: default mode E block size (the Globus default is 256 KiB)
 DEFAULT_BLOCK_SIZE = 256 * 1024
@@ -160,26 +154,15 @@ class ModeEPlan:
 
         Mode E acknowledges whole blocks only: a cut mid-block delivers
         nothing for that block.  ``None`` means no budget (everything).
-
-        Many-range restart plans take the vectorized path when numpy is
-        available: every range before the budget boundary is delivered
-        whole, so one cumulative sum plus a ``searchsorted`` finds the
-        boundary range, and only that one range needs block arithmetic.
-        The scalar loop (:meth:`_delivered_prefix_scalar`) is the
-        executable spec; the differential suite holds them identical.
+        Each range is delivered whole while the budget lasts; the first
+        range that does not fit delivers only the whole blocks the rest
+        of the budget covers, and the walk stops there.
         """
+        out = ByteRangeSet()
         if limit is None:
-            out = ByteRangeSet()
             for start, end in self.ranges:
                 out.add(start, end)
             return out
-        if HAS_NUMPY and len(self.ranges) >= VECTOR_MIN_RANGES:
-            return self._delivered_prefix_vector(limit)
-        return self._delivered_prefix_scalar(limit)
-
-    def _delivered_prefix_scalar(self, limit: int) -> ByteRangeSet:
-        """Reference implementation: walk ranges, spend the budget."""
-        out = ByteRangeSet()
         bs = self.block_size
         spent = 0
         for start, end in self.ranges:
@@ -196,40 +179,14 @@ class ModeEPlan:
                 break
         return out
 
-    def _delivered_prefix_vector(self, limit: int) -> ByteRangeSet:
-        """numpy path: cumulative lengths + one searchsorted.
 
-        Correctness: the scalar spec delivers each range *whole* (blocks
-        plus tail) while the running total stays within ``limit``, and
-        stops inside the first range that does not fit, taking only the
-        whole blocks the remaining budget covers (its tail can never fit
-        there, because the whole range already overflowed the budget).
-        """
-        starts = np.fromiter((r[0] for r in self.ranges), dtype=np.int64,
-                             count=len(self.ranges))
-        ends = np.fromiter((r[1] for r in self.ranges), dtype=np.int64,
-                           count=len(self.ranges))
-        cum = np.cumsum(ends - starts)
-        k = int(np.searchsorted(cum, limit, side="right"))
-        out = ByteRangeSet()
-        for i in range(k):
-            out.add(int(starts[i]), int(ends[i]))
-        if k < len(self.ranges):
-            spent = int(cum[k - 1]) if k else 0
-            start, end = self.ranges[k]
-            bs = self.block_size
-            take_full = min((end - start) // bs, (limit - spent) // bs)
-            if take_full:
-                out.add(start, start + take_full * bs)
-        return out
+def plan_blocks(total_size: int, block_size: int = DEFAULT_BLOCK_SIZE,
+                needed: ByteRangeSet | None = None) -> list[tuple[int, int]]:
+    """The (offset, size) schedule for a transfer.
 
-
-def plan_blocks_scalar(total_size: int, block_size: int = DEFAULT_BLOCK_SIZE,
-                       needed: ByteRangeSet | None = None) -> list[tuple[int, int]]:
-    """Reference block planner: one loop iteration per block.
-
-    Kept as the executable spec for :func:`plan_blocks`; the
-    differential suite drains random geometries through both.
+    ``needed`` restricts the plan to specific ranges (a restart); blocks
+    are aligned to ``block_size`` boundaries within each range.  Ranges
+    starting beyond EOF are rejected (see :func:`_clamped_ranges`).
     """
     if block_size <= 0:
         raise ProtocolError("block size must be positive", code=501)
@@ -240,39 +197,6 @@ def plan_blocks_scalar(total_size: int, block_size: int = DEFAULT_BLOCK_SIZE,
             size = min(block_size, end - cursor)
             plan.append((cursor, size))
             cursor += size
-    return plan
-
-
-def plan_blocks(total_size: int, block_size: int = DEFAULT_BLOCK_SIZE,
-                needed: ByteRangeSet | None = None) -> list[tuple[int, int]]:
-    """The (offset, size) schedule for a transfer.
-
-    ``needed`` restricts the plan to specific ranges (a restart); blocks
-    are aligned to ``block_size`` boundaries within each range.  Ranges
-    starting beyond EOF are rejected (see :func:`_clamped_ranges`).
-
-    Large plans (a 10 GiB striped transfer frames ~40k blocks) take the
-    numpy path: per range, offsets are one ``arange`` and sizes one
-    clipped subtraction — no per-block Python iteration.
-    """
-    if block_size <= 0:
-        raise ProtocolError("block size must be positive", code=501)
-    ranges = _clamped_ranges(total_size, needed)
-    if not HAS_NUMPY:
-        return plan_blocks_scalar(total_size, block_size, needed)
-    plan: list[tuple[int, int]] = []
-    for start, end in ranges:
-        nblocks = -(-(end - start) // block_size)
-        if nblocks < VECTOR_MIN_BLOCKS:
-            cursor = start
-            while cursor < end:
-                size = min(block_size, end - cursor)
-                plan.append((cursor, size))
-                cursor += size
-            continue
-        offsets = np.arange(start, end, block_size, dtype=np.int64)
-        sizes = np.minimum(block_size, end - offsets)
-        plan.extend(zip(offsets.tolist(), sizes.tolist()))
     return plan
 
 

@@ -36,7 +36,7 @@ simulation reads the key bytes, so outcomes are unaffected; the
 differential property tests compare peers/identities, not the key.
 
 ``REPRO_NO_SESSION_CACHE=1`` disables resumption entirely (checked per
-call, so tests can monkeypatch it), mirroring ``REPRO_NO_NUMPY``.
+call, so tests can monkeypatch it).
 """
 
 from __future__ import annotations

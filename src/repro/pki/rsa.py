@@ -198,28 +198,10 @@ def sign(key: KeyPair, data: bytes) -> int:
     return mq + ((mp - mq) * qinv % p) * q
 
 
-#: (n, e, digest, signature) -> verification outcome.  Chain validation
-#: re-verifies the same handful of CA/host/proxy signatures for every
-#: login in a fleet run; the verdict for a fixed (key, digest, signature)
-#: triple is a pure function, so replaying it is exact.  Both outcomes
-#: are cached — a forged signature stays forged.
-_VERIFY_MEMO: dict[tuple[int, int, int, int], bool] = {}
-_VERIFY_MEMO_MAX = 8192
-
-
 def verify(public: PublicKey, data: bytes, signature: int) -> bool:
     """True iff ``signature`` over ``data`` verifies with ``public``."""
     if not 0 < signature < public.n:
         return False
     digest = _digest_int(data, public.n)
-    memo_key = (public.n, public.e, digest, signature)
-    hit = _VERIFY_MEMO.get(memo_key)
-    if hit is not None:
-        opcount.bump("rsa.verify.memo")
-        return hit
     opcount.bump("rsa.verify")
-    ok = pow(signature, public.e, public.n) == digest
-    if len(_VERIFY_MEMO) >= _VERIFY_MEMO_MAX:
-        _VERIFY_MEMO.pop(next(iter(_VERIFY_MEMO)))
-    _VERIFY_MEMO[memo_key] = ok
-    return ok
+    return pow(signature, public.e, public.n) == digest

@@ -19,22 +19,10 @@ Selection is O(log U) in the number of users: lane heads are indexed in
 a lazy min-heap keyed by ``(band, vtime, head_seq)``.  Every operation
 that can change a lane's dispatch key (push to an idle lane, requeue,
 charge, head pop) bumps the lane's version and pushes a fresh heap
-entry; stale entries are discarded when they surface.  The pre-heap
-linear scan survives as :class:`LinearScanFairShareQueue` — the
-executable specification the differential property test replays against.
+entry; stale entries are discarded when they surface.
 
-Lane records are stored **struct-of-arrays**: per-user weight, virtual
-time, delivered bytes, and heap version live in parallel
-:class:`array.array` columns indexed by a dense lane number, with the
-FIFOs in a parallel list.  The drain loop's per-completion accounting
-(``charge`` → reindex) touches two C-double slots instead of a Python
-object per lane, and whole-fleet summaries (``fair_share_error``) can
-sweep the columns vectorized when numpy is present.  ``array('d')``
-stores IEEE doubles exactly, so virtual-time arithmetic is bit-for-bit
-identical to the previous attribute-based records — the scheduler
-fingerprint does not move.  External callers that need a lane *object*
-(the resharding migration path) go through :meth:`FairShareQueue._lane`,
-which returns a write-through view over the columns.
+Each user's lane is one :class:`_Lane` record — weight, virtual time,
+delivered bytes, heap version and FIFO — numbered in first-touch order.
 """
 
 from __future__ import annotations
@@ -42,15 +30,9 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
-
-from repro.util.vector import HAS_NUMPY, np
-
-#: below this many active lanes the scalar fair-share sweep wins
-_VECTOR_MIN_LANES = 16
 
 
 class TaskState(enum.Enum):
@@ -106,104 +88,55 @@ class ScheduledTask:
         return (self.src_endpoint, self.dst_endpoint)
 
 
-class _LaneView:
-    """Write-through handle over one lane's struct-of-arrays columns.
+class _Lane:
+    """One user's fair-share state; ``index`` names it in heap entries."""
 
-    Exists for callers that need a lane *object* — the resharding
-    migration path sets ``weight``/``vtime``/``delivered_bytes`` on
-    drained lanes directly.  The queue's own hot paths index the column
-    arrays; this view is never on them.
-    """
+    __slots__ = ("index", "weight", "vtime", "delivered_bytes", "version", "fifo")
 
-    __slots__ = ("_q", "_i")
-
-    def __init__(self, queue: "FairShareQueue", index: int) -> None:
-        self._q = queue
-        self._i = index
-
-    @property
-    def weight(self) -> float:
-        return self._q._weights[self._i]
-
-    @weight.setter
-    def weight(self, value: float) -> None:
-        self._q._weights[self._i] = float(value)
-
-    @property
-    def vtime(self) -> float:
-        return self._q._vtimes[self._i]
-
-    @vtime.setter
-    def vtime(self, value: float) -> None:
-        self._q._vtimes[self._i] = float(value)
-
-    @property
-    def delivered_bytes(self) -> int:
-        return self._q._delivered[self._i]
-
-    @delivered_bytes.setter
-    def delivered_bytes(self, value: int) -> None:
-        self._q._delivered[self._i] = int(value)
-
-    @property
-    def fifo(self) -> deque:
-        return self._q._fifos[self._i]
-
-    @property
-    def version(self) -> int:
-        return self._q._versions[self._i]
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.weight = 1.0
+        self.vtime = 0.0
+        self.delivered_bytes = 0
+        self.version = 0
+        self.fifo: deque[ScheduledTask] = deque()
 
 
 class FairShareQueue:
     """Byte-weighted fair queuing across users with FIFO tie-breaks.
 
     Dispatch is O(log U): runnable lanes are indexed by a lazy min-heap
-    of ``((band, vtime, head_seq), version, lane_index)`` entries over
-    the struct-of-arrays lane columns.
+    of ``((band, vtime, head_seq), version, lane_index)`` entries.
     """
 
     def __init__(self) -> None:
-        #: user -> dense lane index into the column arrays
-        self._index: dict[str, int] = {}
-        self._users: list[str] = []
-        self._weights = array("d")
-        self._vtimes = array("d")
-        self._delivered = array("q")
-        self._versions = array("q")
-        self._fifos: list[deque] = []
+        #: user -> lane, and lanes by index (first-touch order)
+        self._index: dict[str, _Lane] = {}
+        self._lanes: list[_Lane] = []
         self._seq = itertools.count(1)
         self._global_vtime = 0.0
         self._depth = 0
         #: lazy heap of (dispatch key, lane version, lane index) over heads
         self._heap: list[tuple[tuple[int, float, int], int, int]] = []
 
-    def _lane_index(self, user: str) -> int:
-        """The user's dense lane index, allocating columns on first touch."""
-        i = self._index.get(user)
-        if i is None:
-            i = len(self._users)
-            self._index[user] = i
-            self._users.append(user)
-            self._weights.append(1.0)
-            self._vtimes.append(0.0)
-            self._delivered.append(0)
-            self._versions.append(0)
-            self._fifos.append(deque())
-        return i
+    def _lane(self, user: str) -> _Lane:
+        """The user's lane, created on first touch."""
+        lane = self._index.get(user)
+        if lane is None:
+            lane = _Lane(len(self._lanes))
+            self._index[user] = lane
+            self._lanes.append(lane)
+        return lane
 
-    def _lane(self, user: str) -> _LaneView:
-        """A write-through lane view (resharding/compat; not a hot path)."""
-        return _LaneView(self, self._lane_index(user))
-
-    def _reindex(self, i: int) -> None:
+    def _reindex(self, lane: _Lane) -> None:
         """The lane's dispatch key changed: invalidate and re-push."""
-        self._versions[i] += 1
-        fifo = self._fifos[i]
+        lane.version += 1
+        fifo = lane.fifo
         if fifo:
             head = fifo[0]
             heapq.heappush(
                 self._heap,
-                ((-head.priority, self._vtimes[i], head.seq), self._versions[i], i),
+                ((-head.priority, lane.vtime, head.seq), lane.version, lane.index),
             )
 
     # -- weights ----------------------------------------------------------
@@ -212,14 +145,14 @@ class FairShareQueue:
         """Assign a fair-share weight (default 1.0; must be positive)."""
         if weight <= 0:
             raise ValueError(f"fair-share weight must be positive (got {weight})")
-        i = self._lane_index(user)
-        self._weights[i] = float(weight)
-        self._reindex(i)
+        lane = self._lane(user)
+        lane.weight = float(weight)
+        self._reindex(lane)
 
     def weight(self, user: str) -> float:
         """The user's fair-share weight."""
-        i = self._index.get(user)
-        return self._weights[i] if i is not None else 1.0
+        lane = self._index.get(user)
+        return lane.weight if lane is not None else 1.0
 
     # -- queue operations -------------------------------------------------
 
@@ -228,12 +161,12 @@ class FairShareQueue:
 
     def depth_for(self, user: str) -> int:
         """Queued tasks currently held for one user."""
-        i = self._index.get(user)
-        return len(self._fifos[i]) if i is not None else 0
+        lane = self._index.get(user)
+        return len(lane.fifo) if lane is not None else 0
 
     def lane_count(self) -> int:
         """Users with any lane state (active or historical)."""
-        return len(self._users)
+        return len(self._lanes)
 
     def push(self, task: ScheduledTask) -> ScheduledTask:
         """Enqueue a task (stamps its FIFO sequence number).
@@ -243,17 +176,17 @@ class FairShareQueue:
         keeps a returning user from locking out everyone who kept
         working (the standard start-time fair queuing rule).
         """
-        i = self._lane_index(task.user)
-        fifo = self._fifos[i]
+        lane = self._lane(task.user)
+        fifo = lane.fifo
         was_idle = not fifo
-        if was_idle and self._vtimes[i] < self._global_vtime:
-            self._vtimes[i] = self._global_vtime
+        if was_idle and lane.vtime < self._global_vtime:
+            lane.vtime = self._global_vtime
         task.seq = next(self._seq)
         task.state = TaskState.QUEUED
         fifo.append(task)
         self._depth += 1
         if was_idle:  # a tail append behind an existing head changes no key
-            self._reindex(i)
+            self._reindex(lane)
         return task
 
     def requeue(self, task: ScheduledTask) -> ScheduledTask:
@@ -263,14 +196,13 @@ class FairShareQueue:
         dispatch slot once, so a crashed worker must not cost the user
         their place behind later submissions.
         """
-        i = self._lane_index(task.user)
-        fifo = self._fifos[i]
-        if not fifo and self._vtimes[i] < self._global_vtime:
-            self._vtimes[i] = self._global_vtime
+        lane = self._lane(task.user)
+        if not lane.fifo and lane.vtime < self._global_vtime:
+            lane.vtime = self._global_vtime
         task.state = TaskState.QUEUED
-        fifo.appendleft(task)
+        lane.fifo.appendleft(task)
         self._depth += 1
-        self._reindex(i)
+        self._reindex(lane)
         return task
 
     def pop_next(
@@ -288,32 +220,30 @@ class FairShareQueue:
         (their entries are still current, so they go straight back).
         """
         heap = self._heap
-        versions = self._versions
-        fifos = self._fifos
+        lanes = self._lanes
         skipped: list[tuple[tuple[int, float, int], int, int]] = []
-        best = -1
+        best = None
         while heap:
             _key, version, i = heap[0]
-            fifo = fifos[i]
-            if version != versions[i] or not fifo:
+            lane = lanes[i]
+            if version != lane.version or not lane.fifo:
                 heapq.heappop(heap)  # stale: the lane was re-keyed or emptied
                 continue
-            if admissible is not None and not admissible(fifo[0]):
+            if admissible is not None and not admissible(lane.fifo[0]):
                 skipped.append(heapq.heappop(heap))
                 continue
             heapq.heappop(heap)
-            best = i
+            best = lane
             break
         for entry in skipped:
             heapq.heappush(heap, entry)
-        if best < 0:
+        if best is None:
             return None
-        task = self._fifos[best].popleft()
+        task = best.fifo.popleft()
         self._depth -= 1
         task.state = TaskState.CLAIMED
-        vt = self._vtimes[best]
-        if vt > self._global_vtime:
-            self._global_vtime = vt
+        if best.vtime > self._global_vtime:
+            self._global_vtime = best.vtime
         self._reindex(best)
         return task
 
@@ -324,16 +254,16 @@ class FairShareQueue:
         fair-share converges on real byte shares even when size hints
         were wrong.
         """
-        i = self._lane_index(user)
-        self._vtimes[i] += nbytes / self._weights[i]
-        self._delivered[i] += nbytes
-        self._reindex(i)
+        lane = self._lane(user)
+        lane.vtime += nbytes / lane.weight
+        lane.delivered_bytes += nbytes
+        self._reindex(lane)
         if self._depth == 0:
             # end of a busy period: global virtual time catches up to the
             # largest finish tag served (the SFQ idle-transition rule), so
             # a user who worked alone carries no debt into the next burst.
-            if self._vtimes[i] > self._global_vtime:
-                self._global_vtime = self._vtimes[i]
+            if lane.vtime > self._global_vtime:
+                self._global_vtime = lane.vtime
 
     # -- introspection ----------------------------------------------------
 
@@ -349,24 +279,24 @@ class FairShareQueue:
         ``max(lane.vtime, global_vtime)`` — the number the flight
         recorder stamps on the submit event.
         """
-        i = self._index.get(user)
-        if i is None or not self._fifos[i]:
-            base = self._vtimes[i] if i is not None else 0.0
+        lane = self._index.get(user)
+        if lane is None or not lane.fifo:
+            base = lane.vtime if lane is not None else 0.0
             return max(base, self._global_vtime)
-        return self._vtimes[i]
+        return lane.vtime
 
     def lane_stats(self) -> list[dict[str, Any]]:
         """Per-user lane state (weight, vtime tag, depth, delivered bytes)."""
         out = []
         for user in sorted(self._index):
-            i = self._index[user]
-            fifo = self._fifos[i]
+            lane = self._index[user]
+            fifo = lane.fifo
             out.append({
                 "user": user,
-                "weight": self._weights[i],
+                "weight": lane.weight,
                 "vtime": self.lane_vtime(user),
                 "depth": len(fifo),
-                "delivered_bytes": self._delivered[i],
+                "delivered_bytes": lane.delivered_bytes,
                 "head_seq": fifo[0].seq if fifo else None,
             })
         return out
@@ -374,88 +304,36 @@ class FairShareQueue:
     def tasks(self) -> Iterator[ScheduledTask]:
         """Every queued task, in deterministic (user, FIFO) order."""
         for user in sorted(self._index):
-            yield from self._fifos[self._index[user]]
+            yield from self._index[user].fifo
 
     def delivered_bytes(self) -> dict[str, int]:
         """Bytes charged per user so far (the fairness evidence)."""
         return {
-            user: self._delivered[i]
-            for user, i in sorted(self._index.items())
-            if self._delivered[i]
+            user: lane.delivered_bytes
+            for user, lane in sorted(self._index.items())
+            if lane.delivered_bytes
         }
 
     def fair_share_error(self) -> float:
         """Max absolute deviation between byte shares and weight shares.
 
         0.0 is perfect weighted fairness; only users that have received
-        bytes (or hold queued work) participate.  With numpy present and
-        enough active lanes the elementwise sweep runs vectorized over
-        the lane columns; the share sums stay sequential (first-touch
-        lane order) in both backends, and elementwise IEEE division,
-        abs, and max are bit-identical between numpy and pure Python,
-        so both paths return the same float.
+        bytes (or hold queued work) participate.  Shares are summed in
+        first-touch lane order.
         """
-        active = [
-            i for i in range(len(self._users))
-            if self._delivered[i] or self._fifos[i]
-        ]
+        active = [lane for lane in self._lanes if lane.delivered_bytes or lane.fifo]
         if not active:
             return 0.0
-        total = sum(self._delivered[i] for i in active)
+        total = sum(lane.delivered_bytes for lane in active)
         if total <= 0:
             return 0.0
         wsum = 0.0
-        for i in active:
-            wsum += self._weights[i]
-        if HAS_NUMPY and len(active) >= _VECTOR_MIN_LANES:
-            idx = np.asarray(active)
-            d = np.frombuffer(self._delivered, dtype=np.int64)[idx]
-            w = np.frombuffer(self._weights, dtype=np.float64)[idx]
-            return float(np.abs(d / total - w / wsum).max())
+        for lane in active:
+            wsum += lane.weight
         return max(
-            abs(self._delivered[i] / total - self._weights[i] / wsum)
-            for i in active
+            abs(lane.delivered_bytes / total - lane.weight / wsum)
+            for lane in active
         )
-
-
-class LinearScanFairShareQueue(FairShareQueue):
-    """The pre-heap O(U log U) dispatch scan, kept as executable spec.
-
-    Selection semantics are defined by this scan: minimum
-    ``(band, vtime, head_seq)`` over every lane with an admissible head,
-    lanes visited in sorted user order.  The differential property test
-    drives it against :class:`FairShareQueue` across random operation
-    interleavings; any divergence in pop sequence is a bug in the heap
-    index, never in this reference.
-    """
-
-    def pop_next(
-        self, admissible: Callable[[ScheduledTask], bool] | None = None
-    ) -> ScheduledTask | None:
-        """Dispatch the next task by scanning every lane (the spec)."""
-        best: tuple[int, float, int] | None = None
-        best_i = -1
-        for user in sorted(self._index):
-            i = self._index[user]
-            fifo = self._fifos[i]
-            if not fifo:
-                continue
-            head = fifo[0]
-            if admissible is not None and not admissible(head):
-                continue
-            key = (-head.priority, self._vtimes[i], head.seq)
-            if best is None or key < best:
-                best = key
-                best_i = i
-        if best_i < 0:
-            return None
-        task = self._fifos[best_i].popleft()
-        self._depth -= 1
-        task.state = TaskState.CLAIMED
-        if self._vtimes[best_i] > self._global_vtime:
-            self._global_vtime = self._vtimes[best_i]
-        self._reindex(best_i)
-        return task
 
 
 def jain_index(values: Iterator[float] | list[float]) -> float:

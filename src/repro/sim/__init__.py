@@ -1,14 +1,7 @@
 """Virtual-time simulation substrate: clock, scheduler, faults, world."""
 
 from repro.sim.clock import Clock
-from repro.sim.events import (
-    HAS_NUMPY,
-    VECTOR_BACKEND,
-    EventHandle,
-    ScalarScheduler,
-    ScheduledEvent,
-    Scheduler,
-)
+from repro.sim.events import ScheduledEvent, Scheduler
 from repro.sim.faults import FaultPlan, LinkFault, HostFault
 from repro.sim.random import RngFactory
 from repro.sim.world import World
@@ -16,11 +9,7 @@ from repro.sim.world import World
 __all__ = [
     "Clock",
     "Scheduler",
-    "ScalarScheduler",
     "ScheduledEvent",
-    "EventHandle",
-    "HAS_NUMPY",
-    "VECTOR_BACKEND",
     "FaultPlan",
     "LinkFault",
     "HostFault",

@@ -1,4 +1,4 @@
-"""A scheduled-event queue with an array-backed hot path.
+"""A scheduled-event queue.
 
 Used for things that must happen at an absolute virtual time regardless of
 what the foreground activity is doing: credential expiry sweeps, usage
@@ -6,55 +6,25 @@ report rollups, lease heartbeats, and fault triggers.  The foreground code
 advances the clock through :class:`repro.sim.world.World`, which fires due
 events.
 
-Two implementations share one API:
-
-* :class:`Scheduler` — the production engine.  Event records live in
-  struct-of-arrays columns (``array('d')`` timestamps, a ``bytearray``
-  of cancel flags, plain lists for callbacks/labels) addressed by slot
-  index, with a min-heap of bare ``(time, seq, slot)`` tuples on top so
-  ordering comparisons run in C.  :meth:`Scheduler.fire_due` pops whole
-  *runs* of events sharing the earliest due timestamp per step and fires
-  them as one batch; the common no-event case is a single tuple peek.
-* :class:`ScalarScheduler` — the original heap-of-dataclasses engine,
-  kept as an executable specification (the PR-5 pattern).  The
-  Hypothesis differential suite drains random schedules through both and
-  requires identical firing order, timestamps, and counts.
-
-Batch-firing is behaviour-preserving, not an approximation: ``at()``
-refuses to schedule in the past, so a callback running inside a batch can
-only insert events at ``time >= now`` with a larger sequence number —
-never *before* any not-yet-fired member of the current run.  Cancel flags
-are re-checked per event at fire time, so a callback cancelling a
-same-timestamp sibling suppresses it exactly as the scalar engine does.
-
-numpy is an optional accelerator elsewhere in the tree (mode-E range
-arithmetic, scheduler cohort math); this module only decides availability
-once at import time so every consumer gates on the same answer.  Set
-``REPRO_NO_NUMPY=1`` to force the pure-Python fallbacks even when numpy
-is installed.
+The queue is a plain min-heap of :class:`ScheduledEvent` records ordered
+by ``(time, seq)``; cancellation flags an event and the heap drops it when
+it surfaces.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.sim.clock import Clock
-from repro.util.vector import HAS_NUMPY, VECTOR_BACKEND, np
 
-__all__ = [
-    "HAS_NUMPY", "VECTOR_BACKEND", "np",
-    "ScheduledEvent", "RepeatingEvent", "EventHandle", "BatchStats",
-    "Scheduler", "ScalarScheduler",
-]
+__all__ = ["ScheduledEvent", "RepeatingEvent", "EventStats", "Scheduler"]
 
 
 @dataclass(order=True)
 class ScheduledEvent:
-    """A callback due at an absolute virtual time (scalar-spec record).
+    """A callback due at an absolute virtual time.
 
     Ordering is (time, seq) so same-time events fire in scheduling order.
     """
@@ -78,7 +48,7 @@ class RepeatingEvent:
     transfer advances the clock.  ``cancel`` stops the chain.
     """
 
-    def __init__(self, scheduler: "Scheduler | ScalarScheduler", interval: float,
+    def __init__(self, scheduler: "Scheduler", interval: float,
                  callback: Callable[[], Any], label: str = "") -> None:
         if interval <= 0:
             raise ValueError(f"repeat interval must be positive (got {interval})")
@@ -104,271 +74,50 @@ class RepeatingEvent:
         self._current.cancel()
 
 
-class EventHandle:
-    """Cancellation handle for one scheduled event (API-compatible with
-    :class:`ScheduledEvent`: exposes ``time``/``seq``/``label``/
-    ``cancelled`` and ``cancel()``)."""
+class EventStats:
+    """Firing counters.
 
-    __slots__ = ("time", "seq", "label", "cancelled", "_scheduler", "_slot")
-
-    def __init__(self, scheduler: "Scheduler", slot: int,
-                 time: float, seq: int, label: str) -> None:
-        self._scheduler = scheduler
-        self._slot = slot
-        self.time = time
-        self.seq = seq
-        self.label = label
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
-        self.cancelled = True
-        self._scheduler._cancel(self._slot, self.seq)
-
-
-class BatchStats:
-    """Counters describing how fire_due batched its work.
-
-    ``runs`` is the number of same-timestamp batches extracted,
-    ``batched_events`` how many events fired inside runs of length >= 2,
-    ``scalar_events`` how many fired alone.  ``run_histogram()`` buckets
-    run lengths by powers of two (1, 2, 4, 8, ...) for the profile
-    report, so a regression in batching is visible in CI artifacts.
+    ``batched_events`` counts firings that shared their timestamp with
+    another event already queued when the first of them fired (a
+    same-time group); events a callback schedules at ``now`` start a new
+    group, because they fire after the group that scheduled them.
     """
 
-    __slots__ = ("runs", "batched_events", "scalar_events", "max_run", "_buckets")
+    __slots__ = ("total_events", "batched_events")
 
     def __init__(self) -> None:
-        self.runs = 0
+        self.total_events = 0
         self.batched_events = 0
-        self.scalar_events = 0
-        self.max_run = 0
-        self._buckets: dict[int, int] = {}
-
-    def record(self, run_len: int) -> None:
-        self.runs += 1
-        if run_len > 1:
-            self.batched_events += run_len
-        else:
-            self.scalar_events += 1
-        if run_len > self.max_run:
-            self.max_run = run_len
-        bucket = 1 << (run_len.bit_length() - 1)
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
-
-    def run_histogram(self) -> dict[int, int]:
-        """{power-of-two bucket: run count}, ascending."""
-        return dict(sorted(self._buckets.items()))
-
-    @property
-    def total_events(self) -> int:
-        return self.batched_events + self.scalar_events
 
 
 class Scheduler:
-    """Array-backed event queue, driven by a :class:`Clock`.
-
-    Struct-of-arrays layout: ``_times``/``_seq_of`` are C-contiguous
-    numeric columns, ``_cancelled`` a bytearray bitmap, ``_callbacks``/
-    ``_labels`` parallel object columns, all addressed by a recycled slot
-    index.  A heap of bare ``(time, seq, slot)`` tuples provides ordering;
-    freed slots go to a free list so steady-state scheduling allocates no
-    column storage.
-    """
+    """Heap-ordered event queue, driven by a :class:`Clock`."""
 
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
-        self._heap: list[tuple[float, int, int]] = []
-        self._seq = itertools.count()
-        # struct-of-arrays event store, indexed by slot
-        self._times = array("d")
-        self._seq_of = array("q")       # seq occupying each slot; -1 = free
-        self._cancelled = bytearray()
-        self._callbacks: list[Callable[[], Any] | None] = []
-        self._labels: list[str] = []
-        self._free: list[int] = []
-        self._live = 0                  # queued and not cancelled
-        # in-flight run: slots popped from the heap but not yet fired.
-        # A cursor (not a plain loop) so a reentrant fire_due — a callback
-        # advancing the clock — drains the rest of the run first, exactly
-        # as the scalar engine would pop them next.
-        self._run_buf: list[int] = []
-        self._run_pos = 0
-        self.stats = BatchStats()
+        self._heap: list[ScheduledEvent] = []
+        self._seq = 0
+        self.stats = EventStats()
+        # the same-time group the last fired event belonged to: its
+        # timestamp, the first seq scheduled after it began, its size
+        self._group_time = -1.0
+        self._group_end = 0
+        self._group_size = 0
 
-    # -- slot management -----------------------------------------------------
-
-    def _alloc(self, time: float, seq: int,
-               callback: Callable[[], Any], label: str) -> int:
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._times[slot] = time
-            self._seq_of[slot] = seq
-            self._cancelled[slot] = 0
-            self._callbacks[slot] = callback
-            self._labels[slot] = label
-        else:
-            slot = len(self._times)
-            self._times.append(time)
-            self._seq_of.append(seq)
-            self._cancelled.append(0)
-            self._callbacks.append(callback)
-            self._labels.append(label)
-        return slot
-
-    def _release(self, slot: int) -> None:
-        self._seq_of[slot] = -1
-        self._callbacks[slot] = None    # drop the reference, keep the column
-        self._free.append(slot)
-
-    def _cancel(self, slot: int, seq: int) -> None:
-        # Guarded by seq so a stale handle (event already fired, slot
-        # recycled) can never cancel its successor.
-        if self._seq_of[slot] == seq and not self._cancelled[slot]:
-            self._cancelled[slot] = 1
-            self._live -= 1
-
-    # -- scheduling ----------------------------------------------------------
-
-    def at(self, time: float, callback: Callable[[], Any], label: str = "") -> EventHandle:
+    def at(self, time: float, callback: Callable[[], Any], label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` to run at absolute virtual time ``time``."""
         if time < self._clock._now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._clock._now}"
             )
-        seq = next(self._seq)
-        slot = self._alloc(time, seq, callback, label)
-        heapq.heappush(self._heap, (time, seq, slot))
-        self._live += 1
-        return EventHandle(self, slot, time, seq, label)
-
-    def after(self, delay: float, callback: Callable[[], Any], label: str = "") -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        return self.at(self._clock._now + delay, callback, label)
-
-    def every(self, interval: float, callback: Callable[[], Any],
-              label: str = "") -> RepeatingEvent:
-        """Schedule ``callback`` every ``interval`` seconds until cancelled."""
-        return RepeatingEvent(self, interval, callback, label)
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def next_due(self) -> float | None:
-        """Time of the earliest pending event, or None when empty."""
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            top = heap[0]
-            if cancelled[top[2]]:
-                heapq.heappop(heap)
-                self._release(top[2])
-            else:
-                return top[0]
-        return None
-
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return self._live
-
-    # -- firing --------------------------------------------------------------
-
-    def fire_due(self) -> int:
-        """Run every event whose time is <= now; return how many fired.
-
-        Due events are extracted in *runs* — maximal groups sharing the
-        earliest pending timestamp, in scheduling order — and fired as a
-        batch.  Because scheduling in the past is impossible, anything a
-        callback inserts lands strictly after the current run, so batch
-        order is identical to one-at-a-time heap popping.
-        """
-        if self._run_pos >= len(self._run_buf):
-            heap = self._heap
-            if not heap:
-                return 0
-            top = heap[0]
-            # fast path: nothing due, nothing cancelled at the head
-            if top[0] > self._clock._now and not self._cancelled[top[2]]:
-                return 0
-        return self._fire_slow()
-
-    def _fire_slow(self) -> int:
-        heap = self._heap
-        clock = self._clock
-        cancelled = self._cancelled
-        callbacks = self._callbacks
-        buf = self._run_buf
-        pop = heapq.heappop
-        stats = self.stats
-        fired = 0
-        while True:
-            # 1) drain the in-flight run first — ours, or an outer frame's
-            # interrupted by a reentrant call.  Run members are the
-            # earliest (time, seq) keys anywhere, so the scalar engine
-            # would pop exactly these next.
-            while self._run_pos < len(buf):
-                slot = buf[self._run_pos]
-                self._run_pos += 1
-                if cancelled[slot]:
-                    # cancelled mid-run by an earlier sibling
-                    self._release(slot)
-                    continue
-                cb = callbacks[slot]
-                self._release(slot)
-                self._live -= 1
-                cb()
-                fired += 1
-            # 2) refill: drop cancelled heads, extract the next due run
-            # (re-reading the clock — a callback may have advanced it)
-            while heap:
-                top = heap[0]
-                if cancelled[top[2]]:
-                    pop(heap)
-                    self._release(top[2])
-                else:
-                    break
-            if not heap or heap[0][0] > clock._now:
-                return fired
-            run_time = heap[0][0]
-            del buf[:]
-            self._run_pos = 0
-            while heap and heap[0][0] == run_time:
-                slot = pop(heap)[2]
-                if cancelled[slot]:
-                    self._release(slot)
-                else:
-                    buf.append(slot)
-            if buf:
-                stats.record(len(buf))
-
-
-class ScalarScheduler:
-    """Reference heap-of-dataclasses queue (executable specification).
-
-    This is the original one-event-at-a-time engine, kept verbatim so the
-    differential suite can drain random schedules through both engines
-    and demand identical behaviour.  Not used on hot paths.
-    """
-
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self._heap: list[ScheduledEvent] = []
-        self._seq = itertools.count()
-
-    def at(self, time: float, callback: Callable[[], Any], label: str = "") -> ScheduledEvent:
-        """Schedule ``callback`` to run at absolute virtual time ``time``."""
-        if time < self._clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self._clock.now}"
-            )
-        ev = ScheduledEvent(time=time, seq=next(self._seq), callback=callback, label=label)
+        ev = ScheduledEvent(time=time, seq=self._seq, callback=callback, label=label)
+        self._seq += 1
         heapq.heappush(self._heap, ev)
         return ev
 
     def after(self, delay: float, callback: Callable[[], Any], label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        return self.at(self._clock.now + delay, callback, label)
+        return self.at(self._clock._now + delay, callback, label)
 
     def every(self, interval: float, callback: Callable[[], Any],
               label: str = "") -> RepeatingEvent:
@@ -382,20 +131,39 @@ class ScalarScheduler:
         return self._heap[0].time if self._heap else None
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
-    def fire_due(self) -> int:
-        """Run every event whose time is <= now; return how many fired."""
-        fired = 0
-        while True:
-            self._drop_cancelled()
-            if not self._heap or self._heap[0].time > self._clock.now:
-                return fired
-            ev = heapq.heappop(self._heap)
-            ev.callback()
-            fired += 1
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
         return sum(1 for ev in self._heap if not ev.cancelled)
+
+    def fire_due(self) -> int:
+        """Run every event whose time is <= now; return how many fired.
+
+        The heap is re-read after every callback, so a callback may
+        schedule, cancel, advance the clock or call ``fire_due`` itself.
+        """
+        heap = self._heap
+        fired = 0
+        while True:
+            self._drop_cancelled()
+            if not heap or heap[0].time > self._clock._now:
+                return fired
+            ev = heapq.heappop(heap)
+            self._count(ev)
+            ev.callback()
+            fired += 1
+
+    def _count(self, ev: ScheduledEvent) -> None:
+        stats = self.stats
+        stats.total_events += 1
+        if ev.time == self._group_time and ev.seq < self._group_end:
+            self._group_size += 1
+            # the group's first event was counted alone until now
+            stats.batched_events += 2 if self._group_size == 2 else 1
+        else:
+            self._group_time = ev.time
+            self._group_end = self._seq
+            self._group_size = 1

@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-from repro.util.vector import HAS_NUMPY, np
-
 
 class RngFactory:
     """Derives independent, reproducible RNG streams from a master seed."""
@@ -32,17 +30,3 @@ class RngFactory:
     def python(self, name: str) -> random.Random:
         """A stdlib :class:`random.Random` for the named stream."""
         return random.Random(self._derive(name))
-
-    def numpy(self, name: str) -> "np.random.Generator":
-        """A numpy :class:`~numpy.random.Generator` for the named stream.
-
-        Raises :class:`RuntimeError` when numpy is unavailable — callers
-        that can fall back should check :data:`repro.util.vector.HAS_NUMPY`
-        and use :meth:`python` instead.
-        """
-        if not HAS_NUMPY:
-            raise RuntimeError(
-                "numpy is not available in this environment; "
-                "use RngFactory.python() for a stdlib stream"
-            )
-        return np.random.default_rng(self._derive(name))

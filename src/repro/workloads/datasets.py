@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.storage.data import LiteralData, SyntheticData
 from repro.storage.dsi import DataStorageInterface
 from repro.util.units import GB, KB, MB
-from repro.util.vector import HAS_NUMPY, np
 
 #: files at or below this size carry literal bytes (full integrity checks);
 #: larger files are synthetic (see repro.storage.data)
@@ -35,14 +34,10 @@ class FileSpec:
     def make_data(self):
         """Content object for this spec (literal below the threshold).
 
-        Content bytes come from numpy's PCG64 when available, else from
-        the stdlib generator — the backends yield *different* bytes, but
-        each is deterministic per seed and every consumer compares
-        source against sink within one run, never across backends.
+        Literal bytes come from :class:`random.Random` seeded with the
+        spec's seed, so the same spec always yields the same content.
         """
         if self.size <= LITERAL_THRESHOLD:
-            if HAS_NUMPY:
-                return LiteralData(np.random.default_rng(self.seed).bytes(self.size))
             return LiteralData(random.Random(self.seed).randbytes(self.size))
         return SyntheticData(seed=self.seed, length=self.size)
 
@@ -73,19 +68,12 @@ def climate_mix(
     ESG datasets (paper ref [12]) are dominated by mid-size NetCDF files
     with a long tail.
     """
-    if HAS_NUMPY:
-        rng = np.random.default_rng(seed)
-        sizes = np.clip(
-            rng.lognormal(mean=np.log(200 * MB), sigma=1.0, size=count), 1 * MB, 8 * GB
-        ).astype(np.int64)
-        sizes = [int(s) for s in sizes]
-    else:
-        pyrng = random.Random(seed)
-        mu = math.log(200 * MB)
-        sizes = [
-            int(min(max(pyrng.lognormvariate(mu, 1.0), 1 * MB), 8 * GB))
-            for _ in range(count)
-        ]
+    rng = random.Random(seed)
+    mu = math.log(200 * MB)
+    sizes = [
+        int(min(max(rng.lognormvariate(mu, 1.0), 1 * MB), 8 * GB))
+        for _ in range(count)
+    ]
     return [
         FileSpec(path=f"{directory}/cmip.{i:04d}.nc", size=s, seed=seed * 7_000_003 + i)
         for i, s in enumerate(sizes)
@@ -94,18 +82,11 @@ def climate_mix(
 
 def hep_mix(count: int = 100, directory: str = "/data/lhc", seed: int = 4) -> list[FileSpec]:
     """An LHC-ish mix: ~2 GB event files with modest spread."""
-    if HAS_NUMPY:
-        rng = np.random.default_rng(seed)
-        sizes = np.clip(
-            rng.normal(loc=2 * GB, scale=512 * MB, size=count), 256 * MB, 8 * GB
-        ).astype(np.int64)
-        sizes = [int(s) for s in sizes]
-    else:
-        pyrng = random.Random(seed)
-        sizes = [
-            int(min(max(pyrng.gauss(2 * GB, 512 * MB), 256 * MB), 8 * GB))
-            for _ in range(count)
-        ]
+    rng = random.Random(seed)
+    sizes = [
+        int(min(max(rng.gauss(2 * GB, 512 * MB), 256 * MB), 8 * GB))
+        for _ in range(count)
+    ]
     return [
         FileSpec(path=f"{directory}/run.{i:05d}.root", size=s, seed=seed * 9_000_017 + i)
         for i, s in enumerate(sizes)

@@ -40,29 +40,6 @@ from repro.sim.world import World
 from repro.storage.data import LiteralData, SyntheticData
 from repro.storage.posix import PosixStorage
 from repro.util.units import DAY, GB, KB, PB, gbps
-from repro.util.vector import HAS_NUMPY, np
-
-
-class _GaussRng:
-    """``standard_normal``-compatible fallback when numpy is absent.
-
-    Draws come from :class:`random.Random` instead of numpy's PCG64, so
-    the *values* differ between backends — the fleet model's consumers
-    assert statistical properties, not exact streams — but each backend
-    is individually deterministic for a given seed.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
-
-    def standard_normal(self) -> float:
-        return self._rng.gauss(0.0, 1.0)
-
-
-def _fleet_rng(seed: int):
-    if HAS_NUMPY:
-        return np.random.default_rng(seed)
-    return _GaussRng(seed)
 
 
 @dataclass(frozen=True)
@@ -90,7 +67,7 @@ class FleetModel:
         midpoint_fraction: float = 0.55,
         growth_rate: float = 0.006,
     ) -> None:
-        self.rng = _fleet_rng(seed)
+        self.rng = random.Random(seed)
         self.days = days
         self.final_servers = final_servers
         self.final_transfers_per_day = final_transfers_per_day
@@ -113,13 +90,13 @@ class FleetModel:
         servers = max(1, int(round(self.final_servers * adoption)))
         reporting = max(1, int(round(servers * self.reporting_fraction)))
         # day-to-day jitter: weekday dips, noisy science campaigns
-        jitter = 1.0 + 0.15 * float(self.rng.standard_normal())
+        jitter = 1.0 + 0.15 * self.rng.gauss(0.0, 1.0)
         weekly = 1.0 - 0.2 * (day_index % 7 >= 5)
         transfers = max(
             0, int(self.final_transfers_per_day * adoption * jitter * weekly)
         )
         mean_size = self.final_bytes_per_day / self.final_transfers_per_day
-        bytes_moved = int(transfers * mean_size * (1.0 + 0.1 * float(self.rng.standard_normal())))
+        bytes_moved = int(transfers * mean_size * (1.0 + 0.1 * self.rng.gauss(0.0, 1.0)))
         return FleetDay(
             day_index=day_index,
             servers_total=servers,

@@ -1,23 +1,58 @@
-"""Differential property test: heap-indexed queue vs the linear-scan spec.
+"""Differential property test: heap-indexed queue vs a linear-scan spec.
 
 The heap-indexed :class:`FairShareQueue` exists only as a faster index
-over exactly the dispatch order the retained
-:class:`LinearScanFairShareQueue` scan defines.  This test drives both
-implementations through identical random interleavings of every
-key-changing operation — push, pop (with and without admissibility
-filters), charge, requeue, set_weight — and requires the pop sequences
-to match task-for-task.  Any divergence is a bug in the heap index,
-never in the reference.
+over exactly the dispatch order a linear scan over every lane defines.
+:class:`LinearScanFairShareQueue` below is that scan, kept here as the
+executable specification.  This test drives both implementations
+through identical random interleavings of every key-changing operation
+— push, pop (with and without admissibility filters), charge, requeue,
+set_weight — and requires the pop sequences to match task-for-task.
+Any divergence is a bug in the heap index, never in the reference.
 """
+
+from typing import Callable
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduler.queue import (
-    FairShareQueue,
-    LinearScanFairShareQueue,
-    ScheduledTask,
-)
+from repro.scheduler.queue import FairShareQueue, ScheduledTask, TaskState
+
+
+class LinearScanFairShareQueue(FairShareQueue):
+    """The pre-heap O(U log U) dispatch scan.
+
+    Selection semantics are defined by this scan: minimum
+    ``(band, vtime, head_seq)`` over every lane with an admissible head,
+    lanes visited in sorted user order.
+    """
+
+    def pop_next(
+        self, admissible: Callable[[ScheduledTask], bool] | None = None
+    ) -> ScheduledTask | None:
+        """Dispatch the next task by scanning every lane (the spec)."""
+        best: tuple[int, float, int] | None = None
+        best_lane = None
+        for user in sorted(self._index):
+            lane = self._index[user]
+            if not lane.fifo:
+                continue
+            head = lane.fifo[0]
+            if admissible is not None and not admissible(head):
+                continue
+            key = (-head.priority, lane.vtime, head.seq)
+            if best is None or key < best:
+                best = key
+                best_lane = lane
+        if best_lane is None:
+            return None
+        task = best_lane.fifo.popleft()
+        self._depth -= 1
+        task.state = TaskState.CLAIMED
+        if best_lane.vtime > self._global_vtime:
+            self._global_vtime = best_lane.vtime
+        self._reindex(best_lane)
+        return task
+
 
 _USERS = ("alice", "bob", "carol", "dave")
 

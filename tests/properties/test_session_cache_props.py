@@ -1,7 +1,7 @@
 """Differential property: session caches change no virtual outcome.
 
-The GSI resumption cache, the control-channel pool, and the DCAU /
-verify memos are wall-clock optimizations.  This test drives *twin
+The GSI resumption cache, the control-channel pool, and the DCAU
+memos are wall-clock optimizations.  This test drives *twin
 worlds* — identical seed, identical randomized op sequence — once with
 every cache enabled and once under ``REPRO_NO_SESSION_CACHE=1``, and
 requires bit-identical virtual outcomes: the clock, the mapped account,

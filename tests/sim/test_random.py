@@ -1,11 +1,6 @@
 """Deterministic RNG streams."""
 
-import pytest
-
 from repro.sim.random import RngFactory
-from repro.util.vector import HAS_NUMPY
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
 
 
 def test_named_streams_are_independent():
@@ -22,21 +17,6 @@ def test_same_name_reproduces_sequence():
     first = [f.python("s").random() for _ in range(3)]
     second = [f.python("s").random() for _ in range(3)]
     assert first == second
-
-
-@needs_numpy
-def test_numpy_streams_deterministic():
-    f = RngFactory(5)
-    a = f.numpy("w").integers(0, 1 << 30, size=4)
-    b = RngFactory(5).numpy("w").integers(0, 1 << 30, size=4)
-    assert (a == b).all()
-
-
-@needs_numpy
-def test_seed_changes_everything():
-    a = RngFactory(1).numpy("x").random()
-    b = RngFactory(2).numpy("x").random()
-    assert a != b
 
 
 def test_seed_property():

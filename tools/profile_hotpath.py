@@ -11,10 +11,6 @@ fingerprint hot spots this codebase's caches now cover.
     python tools/profile_hotpath.py --top 40    # more rows
     python tools/profile_hotpath.py --striped   # profile the striped phase
     python tools/profile_hotpath.py --scheduler # fleet-scheduler drain
-
-Every mode ends with the event-engine batch report (run-length
-histogram, batched vs scalar firing counts) — the wallclock phases fire
-no absolute-time events, so the drain mode is where batching shows.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.util import opcount  # noqa: E402
-from repro.util.vector import VECTOR_BACKEND  # noqa: E402
 from repro.workloads.fleet import (  # noqa: E402
     FleetTransferScenario,
     FleetWorkloadConfig,
@@ -52,29 +47,6 @@ def print_crypto_report(ops_before) -> None:
     print("crypto ops (seeded-deterministic; gated exactly in CI):")
     for name in sorted(ops):
         print(f"  {name:<{width}}  {ops[name]}")
-
-
-def print_batch_report(world) -> None:
-    """Event-engine batching counters (the CI regression artifact).
-
-    A healthy vectorized core shows most fired events inside runs of
-    length >= 2; a batching regression (timestamp jitter splitting
-    cohorts, say) shows up here as the scalar share creeping up long
-    before it costs enough wall time to trip the bench gates.
-    """
-    stats = world.scheduler.stats
-    total = stats.total_events
-    print(f"vector backend: {VECTOR_BACKEND}")
-    print(
-        f"event batches: {stats.runs} runs, {total} events fired "
-        f"({stats.batched_events} batched / {stats.scalar_events} scalar), "
-        f"max run {stats.max_run}"
-    )
-    hist = stats.run_histogram()
-    if hist:
-        width = max(len(str(b)) for b in hist)
-        for bucket, count in hist.items():
-            print(f"  run length >= {bucket:>{width}}: {count} runs")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     info = scenario.world.network.route_cache_info()
     print(f"route cache: {info['hits']} hits / {info['misses']} misses")
-    print_batch_report(scenario.world)
     print_crypto_report(ops_before)
     return 0
 
@@ -168,7 +139,6 @@ def profile_scheduler(args) -> int:
     pstats.Stats(profiler, stream=out).sort_stats(args.sort).print_stats(args.top)
     print(out.getvalue())
     print(f"profiled: {jobs} jobs / {users} users drained")
-    print_batch_report(world)
     print_crypto_report(ops_before)
     return 0
 
