@@ -1,11 +1,30 @@
 """A small, real RSA implementation.
 
-Key generation uses Miller-Rabin probable primes; signing is
-hash-and-sign (SHA-256 digest interpreted as an integer, exponentiated
-with the private key).  Keys default to 512 bits — cryptographically toy,
-but the *behaviour* is genuine: signatures verify only with the matching
-public key, any tampering with signed bytes breaks verification, and
-that is precisely what the trust-root logic of Figures 4-5 exercises.
+Key generation draws odd candidates from the caller's rng and keeps the
+first that passes 24-round Miller-Rabin; signing is hash-and-sign
+(SHA-256 digest interpreted as an integer, exponentiated with the private
+key).  Keys default to 512 bits — cryptographically toy, but the
+*behaviour* is genuine: signatures verify only with the matching public
+key, any tampering with signed bytes breaks verification, and that is
+precisely what the trust-root logic of Figures 4-5 exercises.
+
+The primality test returns the verdict plain Miller-Rabin would and
+consumes the identical rng draws, so a seed always yields the same key,
+but it skips a third of the full-width modular exponentiations:
+
+* one ``math.gcd`` against the product of the primes up to 149 replaces
+  trial division;
+* one ``math.gcd`` against the product of the primes in (149, 4096]
+  finds a factor ``g`` of about a third of the survivors.  Round 0 still
+  draws its base, but tests it modulo ``g``: a pass modulo n implies a
+  pass modulo g, so a fail there is the fail Miller-Rabin would report
+  after that same single draw, and the rare pass falls through to the
+  full test;
+* a candidate that passes round 0 is settled by a strong Baillie-PSW test
+  (strong base-2 Miller-Rabin plus strong Lucas with Selfridge's
+  parameters; no composite passing it is known, and none exists below
+  2**64).  For a prime, the 23 remaining draws are replayed without their
+  exponentiations; a composite runs the remaining rounds as usual.
 
 No padding scheme is implemented (the digest is orders of magnitude
 smaller than the modulus); do not reuse outside this simulation.
@@ -14,21 +33,36 @@ smaller than the modulus); do not reuse outside this simulation.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
 from repro.util import opcount
 
-try:  # pragma: no cover - exercised whenever sympy is present
-    from sympy import isprime as _bpsw_isprime
-except Exception:  # pragma: no cover - environments without sympy
-    _bpsw_isprime = None
-
-# Small primes for fast trial division before Miller-Rabin.
+# Small primes for trial division (one gcd with their product) before Miller-Rabin.
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
 ]
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+
+#: Sieve bound of the second gcd.  2**10 catches too few composites;
+#: at 2**14 the longer gcd costs more than the exponentiations it saves.
+_SIEVE_BOUND = 4096
+
+
+def _sieve_product(lo: int, hi: int) -> int:
+    """Product of the primes p with lo < p <= hi (sieve of Eratosthenes)."""
+    is_prime = bytearray([1]) * (hi + 1)
+    is_prime[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(hi) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, hi + 1, p)))
+    return math.prod(p for p in range(lo + 1, hi + 1) if is_prime[p])
+
+
+_SIEVE_PRODUCT = _sieve_product(_SMALL_PRIMES[-1], _SIEVE_BOUND)
 
 _MR_ROUNDS = 24
 
@@ -77,44 +111,133 @@ class KeyPair:
         return KeyPair(n=int(d["n"], 16), e=int(d["e"]), d=int(d["d"], 16))
 
 
+def _odd_part(m: int) -> tuple[int, int]:
+    """``(d, r)`` with ``m = d * 2**r`` and d odd, for m > 0."""
+    r = (m & -m).bit_length() - 1
+    return m >> r, r
+
+
+def _strong_round(a: int, d: int, r: int, m: int) -> bool:
+    """One Miller-Rabin round: does base ``a`` pass modulo ``m``?
+
+    ``d * 2**r`` is n - 1 for the candidate n under test; ``m`` is n
+    itself or a divisor of it.
+    """
+    x = pow(a, d, m)
+    if x == 1 or x == m - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D) / 4.  With n + 1 = k * 2**s, n passes if
+    U_k = 0 or V_(k * 2**i) = 0 (mod n) for some 0 <= i < s.
+    """
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:
+            return False  # gcd(D, n) is a proper factor of n
+        if D == 13 and math.isqrt(n) ** 2 == n:
+            return False  # no D has (D/n) = -1 when n is a square
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    k, s = _odd_part(n + 1)
+    # Left-to-right over the bits of k: (U, V, Q^i) for i = 1, then
+    # i -> 2i (U_2i = U_i V_i, V_2i = V_i^2 - 2 Q^i) and, on a one bit,
+    # i -> i + 1 (U_i+1 = (U_i + V_i) / 2, V_i+1 = (D U_i + V_i) / 2).
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(k)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            if U % 2:
+                U += n
+            if V % 2:
+                V += n
+            U = (U >> 1) % n
+            V = (V >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def _strong_bpsw(n: int) -> bool:
+    """Strong Baillie-PSW: strong base-2 Miller-Rabin, then strong Lucas.
+
+    Every prime passes.  No composite that passes is known, and none
+    exists below 2**64, so there the verdict is exact.
+    """
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    d, r = _odd_part(n - 1)
+    return _strong_round(2, d, r, n) and _strong_lucas(n)
+
+
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
-    """Miller-Rabin primality test."""
+    """Miller-Rabin primality test with _MR_ROUNDS random bases.
+
+    Verdict and rng draws are those of the plain test: trial division by
+    _SMALL_PRIMES, then _MR_ROUNDS rounds, each drawing
+    ``rng.randrange(2, n - 1)`` and returning False at the first failing
+    round.  The module docstring explains the shortcuts that keep them.
+    """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIME_SET
+    d, r = _odd_part(n - 1)
+    a = rng.randrange(2, n - 1)
+    g = math.gcd(n, _SIEVE_PRODUCT)
+    # g divides n, so a pass modulo n implies a pass modulo g: failing
+    # here is failing round 0, decided without the full-width pow.
+    if g != 1 and not _strong_round(a, d, r, g):
+        return False
+    if not _strong_round(a, d, r, n):
+        return False
+    # A genuinely prime n passes every round, so the plain test consumes
+    # exactly _MR_ROUNDS draws and no other randomness: once BPSW says
+    # prime, replaying the remaining draws leaves the identical stream.
+    if _strong_bpsw(n):
+        for _ in range(_MR_ROUNDS - 1):
+            rng.randrange(2, n - 1)
+        return True
+    for _ in range(_MR_ROUNDS - 1):
+        if not _strong_round(rng.randrange(2, n - 1), d, r, n):
             return False
-    # write n-1 = d * 2^r with d odd
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for round_no in range(_MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            pass
-        else:
-            for _ in range(r - 1):
-                x = pow(x, 2, n)
-                if x == n - 1:
-                    break
-            else:
-                return False
-        # A genuinely prime n passes every round, so the loop consumes
-        # exactly _MR_ROUNDS randrange draws and no other randomness.
-        # Once the first round passes, a deterministic BPSW check settles
-        # primality; for primes we replay the remaining draws and skip
-        # their modexps — bit-identical verdict and rng stream, ~6x
-        # cheaper.  Composites that slip past round one (rare
-        # pseudoprimes) fall back to the full loop unchanged.
-        if round_no == 0 and _bpsw_isprime is not None and _bpsw_isprime(n):
-            for _ in range(_MR_ROUNDS - 1):
-                rng.randrange(2, n - 1)
-            return True
     return True
 
 

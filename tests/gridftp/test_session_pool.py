@@ -20,7 +20,6 @@ from repro.gridftp.transfer import TransferOptions
 from repro.gsi.session_cache import caching_enabled
 from repro.pki.ca import CertificateAuthority
 from repro.pki.dn import DistinguishedName
-from repro.pki.rsa import generate_keypair
 from repro.sim.world import World
 from repro.storage.data import LiteralData
 from repro.util.units import gbps
@@ -276,25 +275,6 @@ def test_ca_key_pregeneration_is_bit_identical():
 
     assert issue(pregenerate=0) == issue(pregenerate=5)
     assert issue(pregenerate=0) == issue(pregenerate=2)  # pool underrun
-
-
-def test_bpsw_fast_path_matches_plain_miller_rabin(monkeypatch):
-    import random
-
-    import repro.pki.rsa as rsa
-
-    if rsa._bpsw_isprime is None:
-        pytest.skip("sympy unavailable: already on the plain path")
-    with_bpsw = generate_keypair(512, random.Random(1234))
-    state_with = random.Random(1234)
-    generate_keypair(512, state_with)
-    monkeypatch.setattr(rsa, "_bpsw_isprime", None)
-    rsa._KEYGEN_MEMO.clear()
-    without = generate_keypair(512, random.Random(1234))
-    state_without = random.Random(1234)
-    generate_keypair(512, state_without)
-    assert with_bpsw == without
-    assert state_with.getstate() == state_without.getstate()
 
 
 def test_no_session_cache_env_is_read_per_call(monkeypatch):

@@ -1,14 +1,16 @@
 """The package runs on its declared dependencies alone.
 
-numpy is not one of them: importing every ``repro`` module in a fresh
-interpreter must leave it out of ``sys.modules``, whether or not it is
-installed.
+numpy and sympy are not among them: importing every ``repro`` module in
+a fresh interpreter must leave both out of ``sys.modules``, whether or
+not they are installed.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -19,11 +21,13 @@ names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
 for name in names:
     importlib.import_module(name)
 print(len(names))
-print("numpy" in sys.modules)
+print(" ".join(sorted(sys.modules)))
 """
 
 
-def test_importing_every_module_leaves_numpy_out():
+@pytest.fixture(scope="module")
+def loaded_after_import_all() -> set[str]:
+    """Names in ``sys.modules`` once every ``repro`` module is imported."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
@@ -31,6 +35,14 @@ def test_importing_every_module_leaves_numpy_out():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    imported, numpy_loaded = result.stdout.split()
+    imported, modules = result.stdout.splitlines()
     assert int(imported) > 100
-    assert numpy_loaded == "False"
+    return set(modules.split())
+
+
+def test_importing_every_module_leaves_numpy_out(loaded_after_import_all):
+    assert "numpy" not in loaded_after_import_all
+
+
+def test_importing_every_module_leaves_sympy_out(loaded_after_import_all):
+    assert "sympy" not in loaded_after_import_all
