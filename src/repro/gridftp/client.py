@@ -15,8 +15,15 @@ object then exposes the protocol commands plus high-level ``get``/
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.errors import AuthenticationError, ProtocolError, TransferError
+from repro.errors import (
+    AuthenticationError,
+    AuthorizationError,
+    PamError,
+    ProtocolError,
+    TransferError,
+)
 from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
 from repro.gridftp.replies import Reply, raise_for_reply
 from repro.gridftp.restart import ByteRangeSet, format_restart_marker
@@ -29,17 +36,20 @@ from repro.gridftp.transfer import (
     TransferResult,
 )
 from repro.gsi.delegation import delegate_credential
-from repro.gsi.session_cache import caching_enabled
 from repro.net.channel import ControlChannel
-from repro.util import opcount
+from repro.util import memo, opcount
 from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
+from repro.pki.proxy import DEFAULT_PROXY_LIFETIME
 from repro.xio.drivers import Protection
 from repro.pki.validation import TrustStore, validate_chain
 from repro.sim.world import World
 from repro.storage.dsi import DataStorageInterface
 from repro.util.encoding import b64decode_str, b64encode_str, pem_decode_all
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.auth.accounts import Account
 
 
 @dataclass(frozen=True)
@@ -81,17 +91,25 @@ class _PooledSession:
     """One idle, authenticated control channel awaiting reuse."""
 
     session: "ClientSession"
-    #: the delegated proxy's validity onset and memo half-life horizon;
-    #: inside [not_before, fresh_until] a fresh login's delegation memo
-    #: replays the *identical* proxy, so resuming this session's
-    #: server-side ``delegated`` is bit-for-bit what a fresh handshake
-    #: would have installed
-    delegated_not_before: float
-    fresh_until: float
     client_trust: tuple[int, int]  # (uid, version) at release
     server_trust: tuple[int, int]
     server_credential_fp: str
     released_at: float
+
+
+def _delegation_matches(delegated: Credential, credential: Credential, t: float) -> bool:
+    """True iff a proxy of ``credential`` delegated at ``t`` ends with ``delegated``.
+
+    A login delegates a new proxy of the client credential ending at
+    ``min(t + DEFAULT_PROXY_LIFETIME, expiry)``.  The parked session's
+    proxy has the same key and serial (delegation re-derives its rng
+    stream on every login) and differs only in its start, which no
+    later check can tell apart; so the two are interchangeable exactly
+    while they end together.  That always holds when the credential's
+    expiry clips the proxy (Globus Online's 12 h MyProxy activations).
+    """
+    not_after = delegated.certificate.not_after
+    return not_after == min(t + DEFAULT_PROXY_LIFETIME, credential.expires_at())
 
 
 class ControlChannelPool:
@@ -105,23 +123,29 @@ class ControlChannelPool:
     1.5 RTT, then three command round trips) and skips only the pure
     wall-clock work: chain walks, RSA verification, proxy delegation and
     PEM codec traffic.  That skip is sound because an entry is reused
-    only while every input that work depends on is pinned:
+    only while a fresh login would succeed with the same outcome:
 
     * same client credential (leaf fingerprint in the key) and the same
       requested username mapping;
-    * inside the delegated proxy's memo half-life, where a fresh login's
-      delegation memo would reproduce the identical proxy;
     * both trust stores unchanged — (uid, version) recorded at release;
     * same server object behind the listener, same server credential;
     * no host crash or control-channel drop touched either endpoint
       while the channel sat idle (``FaultPlan.endpoint_disrupted``) —
-      faults active *now* are caught by the replayed checks themselves.
+      faults active *now* are caught by the replayed checks themselves;
+    * the checks a fresh login makes against the clock pass at the
+      instants it would make them (:meth:`_fresh_login_account`): the
+      server's and the client's credentials are valid, and the proxy a
+      fresh login delegates ends when the parked one does
+      (:func:`_delegation_matches`);
+    * the authorization callout and setuid, re-run, still map the peer
+      to an account (the session takes whatever account they return).
 
-    Any condition failing silently discards the entry and reports a
-    miss; the caller then performs the real handshake, which reproduces
-    whatever the fresh world would have done — success or failure — with
-    identical charges.  Entries are LRU-bounded; ``REPRO_NO_SESSION_CACHE``
-    disables pooling entirely.
+    Every check runs before the clock moves.  Any condition failing
+    silently discards the entry and reports a miss; the caller then
+    performs the real handshake, which reproduces whatever the fresh
+    world would have done — success or failure — with identical charges.
+    Entries are LRU-bounded; ``REPRO_NO_SESSION_CACHE`` disables pooling
+    entirely.
     """
 
     MAX_ENTRIES = 256
@@ -185,9 +209,7 @@ class ControlChannelPool:
         channel = session.channel
         server_session = channel._session
         ok = (
-            entry.delegated_not_before <= now <= entry.fresh_until
-            and client.credential.valid_at(now)
-            and (client.trust.uid, client.trust.version) == entry.client_trust
+            (client.trust.uid, client.trust.version) == entry.client_trust
             and not channel.closed
             and isinstance(server_session, GridFTPSession)
             and not server_session.closed
@@ -224,6 +246,11 @@ class ControlChannelPool:
             self._discard(entry)
             self._miss()
             return None
+        account = self._fresh_login_account(client, session, username, path.rtt_s, now)
+        if account is None:
+            self._discard(entry)
+            self._miss()
+            return None
         world.clock.advance(1.5 * path.rtt_s)  # TCP handshake, as sockets.connect
         channel._path = path
         try:
@@ -233,9 +260,12 @@ class ControlChannelPool:
         except Exception:
             self._discard(entry)
             raise
+        # what USER sets on a fresh login
+        server_session.account = account
+        server_session.cwd = account.home
         session.client = client
         session.authenticated = True
-        session.logged_in_as = server_session.account.username
+        session.logged_in_as = account.username
         # The options pipeline is re-charged per lease; a reused session
         # may take the charge-only fast path (see apply_options).
         session._options_applied = None
@@ -253,6 +283,40 @@ class ControlChannelPool:
         )
         return session
 
+    @staticmethod
+    def _fresh_login_account(
+        client: "GridFTPClient",
+        session: "ClientSession",
+        username: str | None,
+        rtt_s: float,
+        now: float,
+    ) -> "Account | None":
+        """The account a fresh login starting at ``now`` would map to.
+
+        None when that login would fail, or would leave the server
+        holding a proxy that ends at another instant.  The login's
+        checks against the clock run at known instants: the client
+        checks the AUTH chain and delegates once the TCP handshake and
+        the AUTH round trip are charged, and the server validates the
+        delegated chain one round trip later.
+        """
+        proc_s = session.channel.proc_time_s
+        t_auth = now + 1.5 * rtt_s + (rtt_s + proc_s)
+        t_adat = t_auth + (rtt_s + proc_s)
+        server_session = session.server_session
+        credential = client.credential
+        if not (
+            server_session.server.credential.valid_at(t_auth)
+            and credential.valid_at(t_auth)
+            and credential.valid_at(t_adat)
+            and _delegation_matches(server_session.delegated, credential, t_auth)
+        ):
+            return None
+        try:
+            return server_session.map_account(_user_arg(username))
+        except (AuthorizationError, PamError):
+            return None
+
     def release(self, session: "ClientSession") -> bool:
         """Park a session for reuse; closes it instead when ineligible."""
         client = session.client
@@ -260,7 +324,7 @@ class ControlChannelPool:
         server_session = channel._session
         now = self.world.now
         eligible = (
-            caching_enabled()
+            memo.enabled()
             and session.authenticated
             and session.logged_in_as is not None
             and not channel.closed
@@ -269,13 +333,11 @@ class ControlChannelPool:
             and client.credential is not None
             and server_session.delegated is not None
             and client.credential.valid_at(now)
+            # once a fresh login would delegate a proxy ending later, it
+            # always will: min(now + lifetime, expiry) never decreases
+            and _delegation_matches(server_session.delegated, client.credential, now)
         )
         if not eligible:
-            channel.close()
-            return False
-        leaf = server_session.delegated.chain[0]
-        fresh_until = leaf.not_before + (leaf.not_after - leaf.not_before) / 2.0
-        if not leaf.not_before <= now <= fresh_until:
             channel.close()
             return False
         server = server_session.server
@@ -286,8 +348,6 @@ class ControlChannelPool:
         server_session.reset_for_reuse()
         self._entries[key] = _PooledSession(
             session=session,
-            delegated_not_before=leaf.not_before,
-            fresh_until=fresh_until,
             client_trust=(client.trust.uid, client.trust.version),
             server_trust=(server.trust.uid, server.trust.version),
             server_credential_fp=server.credential.certificate.fingerprint(),
@@ -362,8 +422,6 @@ class GridFTPClient:
         self.local_storage = local_storage
         self.username = username
         self.engine = TransferEngine.for_world(world)
-        # data_channel_security() memo: (inputs..., result) — see method
-        self._dcs_memo: tuple | None = None
 
     # -- connection ----------------------------------------------------------
 
@@ -383,7 +441,7 @@ class GridFTPClient:
         :meth:`ClientSession.release` instead of closing.
         """
         address = server.address if isinstance(server, GridFTPServer) else server
-        if pooled and login and self.credential is not None and caching_enabled():
+        if pooled and login and self.credential is not None and memo.enabled():
             hit = ControlChannelPool.for_world(self.world).checkout(
                 self, address, username
             )
@@ -401,27 +459,14 @@ class GridFTPClient:
 
     def data_channel_security(self, mode: DCAUMode) -> DataChannelSecurity:
         """The client side of a two-party data channel."""
-        # pure function of (mode, credential, trust) — memoize per client
-        # so batch jobs reuse one posture object (and its _side_key memo)
-        m = self._dcs_memo
-        if (
-            m is not None
-            and m[0] is mode
-            and m[1] is self.credential
-            and m[2] is self.trust
-            and m[3] == self.trust.version
-        ):
-            return m[4]
         expected = self.credential.identity if self.credential else None
-        sec = DataChannelSecurity(
+        return DataChannelSecurity(
             mode=mode,
             credential=self.credential,
             trust=self.trust,
             expected_identity=expected,
             endpoint_name=f"client@{self.host}",
         )
-        self._dcs_memo = (mode, self.credential, self.trust, self.trust.version, sec)
-        return sec
 
 
 def _options_server_state(options: TransferOptions) -> list[tuple[str, object]] | None:
@@ -535,17 +580,11 @@ class ClientSession:
         delegated = delegate_credential(
             client.credential, self.world.clock, self.world.rng.python("delegation")
         )
-        # the b64 blob is a pure function of the (immutable) credential;
-        # replayed delegations present the identical blob without re-encoding
-        blob = delegated.__dict__.get("_adat_blob")
-        if blob is None:
-            blob = b64encode_str(delegated.to_pem(include_key=True).encode("ascii"))
-            object.__setattr__(delegated, "_adat_blob", blob)
-        user_arg = username if username is not None else ":globus-mapping:"
+        blob = b64encode_str(delegated.to_pem(include_key=True).encode("ascii"))
         try:
             self.command(f"ADAT {blob}")
             self.authenticated = True
-            self.command(f"USER {user_arg}")
+            self.command(f"USER {_user_arg(username)}")
         except ProtocolError as exc:
             if exc.code in (530, 535):
                 raise AuthenticationError(str(exc)) from exc
@@ -653,11 +692,11 @@ class ClientSession:
     def release(self) -> None:
         """Give the session back: to the pool if pooled, else close it.
 
-        Pool-ineligible sessions (failed auth, chaos-closed channel,
-        credential past its delegation half-life) are closed outright,
-        exactly as a non-pooled caller would.
+        Pool-ineligible sessions (failed auth, chaos-closed channel, a
+        delegated proxy a fresh login would no longer reproduce) are
+        closed outright, exactly as a non-pooled caller would.
         """
-        if self._pooled and caching_enabled():
+        if self._pooled and memo.enabled():
             ControlChannelPool.for_world(self.world).release(self)
         else:
             self.channel.close()
@@ -882,24 +921,17 @@ class ClientSession:
         return results
 
 
-#: parsed server AUTH banners — every session to one server presents the
-#: same chain bytes, and certificates are immutable, so re-parsing is
-#: indistinguishable from replaying (bounded; keys are the raw PEM bytes)
-_CHAIN_MEMO: dict[bytes, tuple[Certificate, ...]] = {}
-_CHAIN_MEMO_MAX = 1024
+def _user_arg(username: str | None) -> str:
+    """The USER argument of a login: the account asked for, else the callout's choice."""
+    return username if username is not None else ":globus-mapping:"
 
 
 def _parse_cert_chain(pem_bytes: bytes) -> list[Certificate]:
     """Certificates from concatenated PEM (server AUTH reply)."""
-    chain = _CHAIN_MEMO.get(pem_bytes)
-    if chain is None:
-        text = pem_bytes.decode("ascii", errors="replace")
-        chain = tuple(Certificate.from_der(der)
-                      for label, der in pem_decode_all(text)
-                      if label == "CERTIFICATE")
-        if len(_CHAIN_MEMO) < _CHAIN_MEMO_MAX:
-            _CHAIN_MEMO[pem_bytes] = chain
-    return list(chain)
+    text = pem_bytes.decode("ascii", errors="replace")
+    return [Certificate.from_der(der)
+            for label, der in pem_decode_all(text)
+            if label == "CERTIFICATE"]
 
 
 def globus_url_copy(

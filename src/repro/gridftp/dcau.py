@@ -23,13 +23,13 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import AuthenticationError, DCAUError
-from repro.gsi.session_cache import caching_enabled
 from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
 from repro.pki.proxy import strip_proxy_cns
 from repro.pki.validation import TrustStore, validate_chain
 from repro.util import opcount
+from repro.util.memo import Memo
 
 
 class DCAUMode(enum.Enum):
@@ -134,29 +134,20 @@ def authenticate_data_channel(
 def _side_key(side: DataChannelSecurity) -> tuple:
     """Everything one endpoint contributes to the handshake outcome.
 
-    Memoized on the instance: every field of DataChannelSecurity is
-    immutable in practice (endpoints build a fresh posture object when
-    their state changes), except that the shared trust store mutates in
-    place — so the memo revalidates against ``trust.version`` and
-    rebuilds when the store changed underneath the instance.
+    The trust store mutates in place, so its ``version`` is part of the
+    key: replaying DCAU under trust an operator has since revoked is
+    the hazard it guards.
     """
-    d = side.__dict__
-    memo = d.get("_key_memo")
-    version = side.trust.version
-    if memo is not None and memo[0] == version:
-        return memo[1]
-    key = (
+    return (
         side.mode,
         side.credential.certificate.fingerprint() if side.credential else None,
         side.trust.uid,
-        version,
+        side.trust.version,
         tuple(c.fingerprint() for c in side.extra_anchors),
         tuple(c.fingerprint() for c in side.extra_intermediates),
         str(side.expected_identity) if side.expected_identity else None,
         str(side.expected_subject_override) if side.expected_subject_override else None,
     )
-    d["_key_memo"] = (version, key)
-    return key
 
 
 class DataChannelAuthCache:
@@ -179,9 +170,7 @@ class DataChannelAuthCache:
     MAX_ENTRIES = 2048
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, tuple[float, float]] = {}
-        self.hits = 0
-        self.misses = 0
+        self.memo = Memo("dcau", self.MAX_ENTRIES)
 
     def authenticate(
         self,
@@ -190,32 +179,18 @@ class DataChannelAuthCache:
         now: float,
     ) -> bool:
         """As :func:`authenticate_data_channel`, replaying cached successes."""
-        if not caching_enabled():
-            return authenticate_data_channel(connector, listener, now)
         if connector.mode is DCAUMode.NONE and listener.mode is DCAUMode.NONE:
             return authenticate_data_channel(connector, listener, now)
         key = (_side_key(connector), _side_key(listener))
-        window = self._entries.get(key)
-        if window is not None:
-            lo, hi = window
-            if lo <= now <= hi:
-                self.hits += 1
-                opcount.bump("dcau.cached")
-                return True
-            del self._entries[key]
-        self.misses += 1
+        if self.memo.get(key, lambda window: window[0] <= now <= window[1]):
+            opcount.bump("dcau.cached")
+            return True
         opcount.bump("dcau.full")
         result = authenticate_data_channel(connector, listener, now)
         if result:
             chains = connector.presented().chain + listener.presented().chain
-            if len(self._entries) >= self.MAX_ENTRIES:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = (
+            self.memo.put(key, (
                 max(c.not_before for c in chains),
                 min(c.not_after for c in chains),
-            )
+            ))
         return result
-
-    def stats(self) -> dict[str, int]:
-        """Point-in-time counters for ops tables and tests."""
-        return {"entries": len(self._entries), "hits": self.hits, "misses": self.misses}

@@ -61,26 +61,12 @@ class Reply:
     @staticmethod
     def parse(line: str) -> "Reply":
         """Parse ``"<code> <text>"``."""
-        reply = _PARSE_MEMO.get(line)
-        if reply is not None:
-            return reply
         head, _, text = line.partition(" ")
         try:
             code = int(head)
         except ValueError:
             raise ProtocolError(f"malformed reply line: {line!r}") from None
-        reply = Reply(code=code, text=text)
-        if len(_PARSE_MEMO) < _PARSE_MEMO_MAX:
-            _PARSE_MEMO[line] = reply
-        return reply
-
-
-#: parsed-reply memo — the fixed replies ("200 Command okay.", ...) are
-#: re-parsed by every client PI round trip; Reply is frozen, so shared
-#: instances are observationally identical.  Bounded so one-off lines
-#: (sizes, addresses) cannot grow it without limit.
-_PARSE_MEMO: dict[str, Reply] = {}
-_PARSE_MEMO_MAX = 4096
+        return Reply(code=code, text=text)
 
 
 # -- the codes this server emits ------------------------------------------------

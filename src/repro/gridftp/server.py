@@ -26,13 +26,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.gridftp import replies as R
-from repro.gridftp.commands import (
-    _PARSE_MEMO,
-    feature_labels,
-    known_verbs,
-    lookup,
-    parse_command,
-)
+from repro.gridftp.commands import feature_labels, known_verbs, lookup, parse_command
 from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
 from repro.gridftp.dcsc import DcscContext, decode_dcsc_blob
 from repro.gridftp.restart import ByteRangeSet, parse_restart_marker
@@ -211,8 +205,6 @@ class GridFTPSession(ServerSession):
         self._stor_resume = False
         self.closed = False
         self.banner = str(R.BANNER)
-        # data_channel_security() memo: (inputs..., result) — see method
-        self._dcs_memo: tuple | None = None
 
     # -- dispatch -----------------------------------------------------------------
 
@@ -220,14 +212,10 @@ class GridFTPSession(ServerSession):
         """Process one command line; return reply lines."""
         if self.closed:
             return [str(R.SERVICE_UNAVAILABLE)]
-        # inlined parse memo: the hit path is pure dict lookup, and every
-        # drain command pays it (the function call was measurable)
-        cmd = _PARSE_MEMO.get(line)
-        if cmd is None:
-            try:
-                cmd = parse_command(line)
-            except ProtocolError:
-                return [str(R.UNRECOGNIZED)]
+        try:
+            cmd = parse_command(line)
+        except ProtocolError:
+            return [str(R.UNRECOGNIZED)]
         spec = lookup(cmd.verb)
         world = self.world
         server_name = self.server.name
@@ -297,29 +285,15 @@ class GridFTPSession(ServerSession):
             return ["504 Unknown security mechanism."]
         self.auth_pending = True
         # present the server's certificate chain (never the key) so the
-        # client can authenticate *us* — the mutual half of GSI.  The
-        # banner is a pure function of the credential, so it is built
-        # once and replayed until the server is re-credentialed.
-        server = self.server
-        memo = server.__dict__.get("_auth_banner")
-        if memo is None or memo[0] is not server.credential:
-            chain_pem = "".join(c.to_pem() for c in server.credential.chain)
-            memo = (server.credential,
-                    f"334 ADAT={b64encode_str(chain_pem.encode('ascii'))}")
-            server._auth_banner = memo
-        return [memo[1]]
+        # client can authenticate *us* — the mutual half of GSI
+        chain_pem = "".join(c.to_pem() for c in self.server.credential.chain)
+        return [f"334 ADAT={b64encode_str(chain_pem.encode('ascii'))}"]
 
     def _cmd_adat(self, arg: str) -> list[str]:
         if not self.auth_pending:
             return ["503 Bad sequence of commands: send AUTH first."]
         try:
-            # decode memo: clients replaying a cached delegation present
-            # the identical blob on every login (pure decode, bounded)
-            pem = _ADAT_DECODE.get(arg)
-            if pem is None:
-                pem = b64decode_str(arg).decode("ascii", errors="replace")
-                if len(_ADAT_DECODE) < 512:
-                    _ADAT_DECODE[arg] = pem
+            pem = b64decode_str(arg).decode("ascii", errors="replace")
             credential = Credential.from_pem(pem)
             self.peer = validate_chain(credential.chain, self.server.trust, self.world.now)
         except (ProtocolError, CertificateError) as exc:
@@ -334,13 +308,23 @@ class GridFTPSession(ServerSession):
                         server=self.server.name, subject=str(self.peer.subject))
         return [str(R.SECURITY_OK)]
 
+    def map_account(self, arg: str) -> "Account":
+        """The local account USER ``arg`` maps the authenticated peer to.
+
+        Runs the authorization callout, then setuid; raises
+        :class:`AuthorizationError` or :class:`PamError` when either
+        refuses.  The control-channel pool calls this on every reuse, so
+        a pooled session is mapped exactly as a fresh login would be.
+        """
+        requested = None if arg in ("", ":globus-mapping:") else arg
+        username = self.server.authz.map_subject(self.peer, requested)
+        return self.server.accounts.setuid(username)
+
     def _cmd_user(self, arg: str) -> list[str]:
         if self.peer is None:
             return [str(R.NOT_LOGGED_IN)]
-        requested = None if arg in ("", ":globus-mapping:") else arg
         try:
-            username = self.server.authz.map_subject(self.peer, requested)
-            self.account = self.server.accounts.setuid(username)
+            self.account = self.map_account(arg)
         except (AuthorizationError, PamError) as exc:
             self.world.emit("gridftp.authz.fail", "authorization failed",
                             server=self.server.name, subject=str(self.peer.identity),
@@ -571,16 +555,10 @@ class GridFTPSession(ServerSession):
         return [f"213 {digest}"]
 
     def _cmd_feat(self, arg: str) -> list[str]:
-        # the FEAT body is a pure function of dcsc_enabled; build it once
-        # per flavour and hand out copies (clients probe FEAT per job)
-        dcsc_enabled = self.server.dcsc_enabled
-        lines = _FEAT_REPLY.get(dcsc_enabled)
-        if lines is None:
-            lines = [f"{R.FEATURES_FOLLOW.code}-{R.FEATURES_FOLLOW.text}"]
-            lines.extend(f" {label}" for label in feature_labels(dcsc_enabled))
-            lines.append("211 End")
-            _FEAT_REPLY[dcsc_enabled] = lines
-        return list(lines)
+        lines = [f"{R.FEATURES_FOLLOW.code}-{R.FEATURES_FOLLOW.text}"]
+        lines.extend(f" {label}" for label in feature_labels(self.server.dcsc_enabled))
+        lines.append("211 End")
+        return lines
 
     def _cmd_noop(self, arg: str) -> list[str]:
         return [str(R.COMMAND_OK)]
@@ -669,23 +647,6 @@ class GridFTPSession(ServerSession):
         expect the blob's identity (paper Section V: "tell it to both
         send and accept the user credential used by the other server").
         """
-        trust = self.server.trust
-        # the posture is a pure function of (delegated, dcsc, dcau mode +
-        # subject, peer, trust) — all rebound, never mutated, by the
-        # handlers — so identity checks make a safe per-session memo;
-        # trust mutates in place but bumps .version on every change
-        m = self._dcs_memo
-        if (
-            m is not None
-            and m[0] is self.delegated
-            and m[1] is self.dcsc
-            and m[2] is self.dcau_mode
-            and m[3] is self.dcau_subject
-            and m[4] is self.peer
-            and m[5] is trust
-            and m[6] == trust.version
-        ):
-            return m[7]
         credential = self.delegated
         extra_anchors: tuple = ()
         extra_intermediates: tuple = ()
@@ -700,21 +661,16 @@ class GridFTPSession(ServerSession):
             expected = self.peer.identity
         elif self.dcau_mode is DCAUMode.SUBJECT:
             expected = self.dcau_subject
-        sec = DataChannelSecurity(
+        return DataChannelSecurity(
             mode=self.dcau_mode,
             credential=credential,
-            trust=trust,
+            trust=self.server.trust,
             extra_anchors=extra_anchors,
             extra_intermediates=extra_intermediates,
             expected_identity=expected,
             expected_subject_override=override,
             endpoint_name=self.server.name,
         )
-        self._dcs_memo = (
-            self.delegated, self.dcsc, self.dcau_mode, self.dcau_subject,
-            self.peer, trust, trust.version, sec,
-        )
-        return sec
 
 
 #: verb -> unbound handler, resolved once at import time (the
@@ -724,9 +680,3 @@ _HANDLERS = {
     for verb in known_verbs()
     if hasattr(GridFTPSession, "_cmd_" + verb.lower())
 }
-
-#: ADAT blob -> decoded PEM text (see GridFTPSession._cmd_adat)
-_ADAT_DECODE: dict[str, str] = {}
-
-#: dcsc_enabled -> built FEAT reply lines (see GridFTPSession._cmd_feat)
-_FEAT_REPLY: dict[bool, list[str]] = {}

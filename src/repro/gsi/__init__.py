@@ -12,13 +12,6 @@ from repro.gsi.credentials import CredentialStore
 from repro.gsi.gridmap import Gridmap
 from repro.gsi.authz import AuthorizationCallout, GridmapCallout
 from repro.gsi.delegation import delegate_credential
-from repro.gsi.session_cache import (
-    ResumptionToken,
-    SessionCache,
-    caching_enabled,
-    default_session_cache,
-    reset_default_session_cache,
-)
 
 __all__ = [
     "SecurityContext",
@@ -28,9 +21,4 @@ __all__ = [
     "AuthorizationCallout",
     "GridmapCallout",
     "delegate_credential",
-    "ResumptionToken",
-    "SessionCache",
-    "caching_enabled",
-    "default_session_cache",
-    "reset_default_session_cache",
 ]

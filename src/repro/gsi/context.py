@@ -18,13 +18,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import AuthenticationError, CertificateError
-from repro.gsi.session_cache import SessionCache, caching_enabled, default_session_cache
 from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
-from repro.pki.proxy import proxy_depth
 from repro.pki.validation import TrustStore, validate_chain
-from repro.util import opcount
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ def establish_context(
     initiator_extra_anchors: Iterable[Certificate] = (),
     acceptor_extra_anchors: Iterable[Certificate] = (),
     encrypted: bool = True,
-    cache: SessionCache | None = None,
 ) -> SecurityContext:
     """Perform mutual authentication; return the context or raise.
 
@@ -65,40 +61,10 @@ def establish_context(
     accepts *for this context only* because a client supplied them via
     ``DCSC P``.
 
-    A successful establishment deposits a resumption token in ``cache``
-    (the module default when None, unless ``REPRO_NO_SESSION_CACHE`` is
-    set); a repeat establishment with identical inputs inside both
-    credentials' validity windows resumes the token instead of
-    re-validating — see :mod:`repro.gsi.session_cache` for the keying
-    and the determinism argument.  Failures are never cached.
-
     Raises :class:`AuthenticationError` wrapping the underlying
     certificate failure; the message records which side rejected whom,
     which the Figure 4 benchmark asserts on.
     """
-    initiator_extra_anchors = tuple(initiator_extra_anchors)
-    acceptor_extra_anchors = tuple(acceptor_extra_anchors)
-    if cache is None and caching_enabled():
-        cache = default_session_cache()
-    key = None
-    if cache is not None:
-        key = (
-            initiator.certificate.fingerprint(),
-            acceptor.certificate.fingerprint(),
-            proxy_depth(initiator.chain),
-            proxy_depth(acceptor.chain),
-            initiator_trust.uid,
-            initiator_trust.version,
-            acceptor_trust.uid,
-            acceptor_trust.version,
-            tuple(c.fingerprint() for c in initiator_extra_anchors),
-            tuple(c.fingerprint() for c in acceptor_extra_anchors),
-            encrypted,
-        )
-        resumed = cache.lookup(key, now)
-        if resumed is not None:
-            return resumed
-    opcount.bump("gsi.context.full")
     # acceptor validates the initiator's chain against the acceptor trust
     try:
         init_result = validate_chain(
@@ -126,26 +92,15 @@ def establish_context(
             f"{acceptor.subject}: {exc}"
         ) from exc
 
-    session_key = _derive_session_key(initiator, acceptor, now)
-    context = SecurityContext(
+    return SecurityContext(
         initiator_subject=init_result.subject,
         initiator_identity=init_result.identity,
         acceptor_subject=acc_result.subject,
         acceptor_identity=acc_result.identity,
-        session_key=session_key,
+        session_key=_derive_session_key(initiator, acceptor, now),
         encrypted=encrypted,
         integrity=True,
     )
-    if cache is not None and key is not None:
-        chains = initiator.chain + acceptor.chain
-        cache.store(
-            key,
-            context,
-            not_before=max(c.not_before for c in chains),
-            not_after=min(c.not_after for c in chains),
-            now=now,
-        )
-    return context
 
 
 def _derive_session_key(initiator: Credential, acceptor: Credential, now: float) -> bytes:

@@ -16,16 +16,17 @@ from repro.errors import CertificateError
 from repro.pki.dn import DistinguishedName
 from repro.pki.rsa import KeyPair, PublicKey, verify
 from repro.util.encoding import canonical_json, from_canonical_json, pem_decode, pem_encode
+from repro.util.memo import Memo
 
 PEM_CERT_LABEL = "CERTIFICATE"
 PEM_KEY_LABEL = "RSA PRIVATE KEY"
 
 #: DER bytes -> parsed certificate.  Certificates are immutable, so the
 #: same wire bytes always denote the same object; GSI presents the same
-#: server chain on every AUTH, and re-parsing it per session dominated
-#: fleet login cost before this memo.
-_DER_MEMO: dict[bytes, "Certificate"] = {}
-_DER_MEMO_MAX = 2048
+#: server chain on every AUTH.  Handing back the one instance also keeps
+#: its :meth:`Certificate.verify_signature` results, so a repeat chain
+#: walk over a re-parsed chain runs no RSA.
+_DER_MEMO = Memo("certificate.der", 2048)
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,7 @@ class Certificate:
         hit = _DER_MEMO.get(der)
         if hit is None:
             hit = Certificate.from_dict(from_canonical_json(der))
-            if len(_DER_MEMO) >= _DER_MEMO_MAX:
-                _DER_MEMO.pop(next(iter(_DER_MEMO)))
-            _DER_MEMO[der] = hit
+            _DER_MEMO.put(der, hit)
         return hit
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,6 +14,7 @@ from repro.pki.certificate import Certificate, keypair_to_pem
 from repro.pki.dn import DistinguishedName
 from repro.pki.rsa import KeyPair
 from repro.util.encoding import pem_decode_all
+from repro.util.memo import Memo
 
 
 #: Round-trip parse memo: PEM text produced by :meth:`Credential.to_pem`
@@ -22,8 +23,7 @@ from repro.util.encoding import pem_decode_all
 #: handing back the original object is indistinguishable from re-parsing
 #: — and every GSI login does this round trip (the client serializes,
 #: the same-process server parses) once per session.
-_ROUNDTRIP: dict[str, "Credential"] = {}
-_ROUNDTRIP_MAX = 1024
+_ROUNDTRIP = Memo("credential.pem", 1024)
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ class Credential:
         parts.extend(c.to_pem() for c in self.chain[1:])
         text = memo[include_key] = "".join(parts)
         if include_key:
-            if len(_ROUNDTRIP) >= _ROUNDTRIP_MAX:
-                _ROUNDTRIP.pop(next(iter(_ROUNDTRIP)))
-            _ROUNDTRIP[text] = self
+            _ROUNDTRIP.put(text, self)
         return text
 
     @staticmethod
@@ -124,7 +122,5 @@ class Credential:
                 f"credential PEM must contain exactly one private key, found {len(keys)}"
             )
         parsed = Credential(chain=tuple(certs), key=keys[0])
-        if len(_ROUNDTRIP) >= _ROUNDTRIP_MAX:
-            _ROUNDTRIP.pop(next(iter(_ROUNDTRIP)))
-        _ROUNDTRIP[text] = parsed
+        _ROUNDTRIP.put(text, parsed)
         return parsed

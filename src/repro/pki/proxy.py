@@ -48,26 +48,6 @@ def create_proxy(
     now = clock.now
     if not parent.valid_at(now):
         raise CertificateError("cannot create a proxy from an expired credential")
-    # Delegation memo: GSI re-derives its delegation rng from the world
-    # seed on every login, so the same (parent, rng state) pair requests
-    # an identical proxy — same key, same serial, same subject — with
-    # only the validity window anchored at a later ``now``.  Replaying
-    # the cached proxy is indistinguishable as long as it is still well
-    # inside its window (proxies are presented within milliseconds of
-    # delegation and sessions live for virtual seconds); past the
-    # halfway point we mint a fresh one, so nothing downstream can ever
-    # see an expired credential where it previously saw a valid one.
-    memo = parent.__dict__.get("_proxy_memo")
-    if memo is None:
-        memo = {}
-        object.__setattr__(parent, "_proxy_memo", memo)
-    memo_key = (lifetime, key_bits, rng.getstate())
-    hit = memo.get(memo_key)
-    if hit is not None:
-        proxy, post_state, fresh_until = hit
-        if proxy.chain[0].not_before <= now <= fresh_until:
-            rng.setstate(post_state)
-            return proxy
     key = generate_keypair(key_bits, rng)
     serial = rng.randrange(1, 1 << 31)
     not_after = min(now + lifetime, parent.expires_at())
@@ -81,9 +61,7 @@ def create_proxy(
         is_ca=False,
         extensions={"proxy": True},
     ).signed_by(parent.key)
-    proxy = Credential(chain=(proxy_cert, *parent.chain), key=key)
-    memo[memo_key] = (proxy, rng.getstate(), now + (not_after - now) / 2)
-    return proxy
+    return Credential(chain=(proxy_cert, *parent.chain), key=key)
 
 
 def is_proxy_subject(subject: DistinguishedName, parent_subject: DistinguishedName) -> bool:

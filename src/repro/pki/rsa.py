@@ -38,6 +38,7 @@ import random
 from dataclasses import dataclass
 
 from repro.util import opcount
+from repro.util.memo import Memo
 
 # Small primes for trial division (one gcd with their product) before Miller-Rabin.
 _SMALL_PRIMES = [
@@ -254,8 +255,7 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 #: login, so fleet runs request the identical (bits, state) pair
 #: thousands of times; replaying the memo — same keypair, same
 #: post-generation state — is bit-for-bit identical to regenerating.
-_KEYGEN_MEMO: dict[tuple[int, tuple], tuple[KeyPair, tuple]] = {}
-_KEYGEN_MEMO_MAX = 256
+_KEYGEN_MEMO = Memo("rsa.keygen", 256)
 
 
 def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> KeyPair:
@@ -292,9 +292,7 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> KeyPa
         object.__setattr__(
             pair, "_crt", (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
         )
-        if len(_KEYGEN_MEMO) >= _KEYGEN_MEMO_MAX:
-            _KEYGEN_MEMO.pop(next(iter(_KEYGEN_MEMO)))
-        _KEYGEN_MEMO[memo_key] = (pair, rng.getstate())
+        _KEYGEN_MEMO.put(memo_key, (pair, rng.getstate()))
         return pair
 
 

@@ -65,10 +65,6 @@ class TrustStore:
 
     anchors: dict[str, Certificate] = field(default_factory=dict)
     policies: dict[str, SigningPolicy] = field(default_factory=dict)
-    #: successful validate_chain results against this store, keyed by the
-    #: participating certificate fingerprints; cleared whenever the
-    #: anchor set changes (certificates themselves are immutable)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
     #: stable process-unique identity, safe to embed in cache keys (unlike
     #: ``id()``, never reused after garbage collection)
     uid: int = field(default_factory=lambda: next(_TRUST_UIDS), repr=False, compare=False)
@@ -82,7 +78,6 @@ class TrustStore:
         self.anchors[fp] = cert
         if policy is not None:
             self.policies[fp] = policy
-        self._memo.clear()
         self.version += 1
 
     def remove_anchor(self, cert: Certificate) -> None:
@@ -90,7 +85,6 @@ class TrustStore:
         fp = cert.fingerprint()
         self.anchors.pop(fp, None)
         self.policies.pop(fp, None)
-        self._memo.clear()
         self.version += 1
 
     def find_anchor(self, cert: Certificate) -> Certificate | None:
@@ -134,25 +128,6 @@ def validate_chain(
     if not chain:
         raise CertificateError("empty certificate chain")
 
-    extra_anchors = tuple(extra_anchors)
-    extra_intermediates = tuple(extra_intermediates)
-
-    # The walk's outcome depends only on the participating certificates
-    # (immutable), the anchor set (memo cleared on change), and whether
-    # every chain certificate is inside its validity window.  A prior
-    # success therefore replays as long as ``now`` stays inside the
-    # chain's common window; anything else falls through to the full walk.
-    memo_key = (
-        tuple(c.fingerprint() for c in chain),
-        tuple(c.fingerprint() for c in extra_anchors),
-        tuple(c.fingerprint() for c in extra_intermediates),
-    )
-    hit = trust._memo.get(memo_key)
-    if hit is not None:
-        result, lo, hi = hit
-        if lo <= now <= hi:
-            opcount.bump("chain.validate.memo")
-            return result
     opcount.bump("chain.validate.full")
 
     extra_anchor_fps = {c.fingerprint(): c for c in extra_anchors}
@@ -240,21 +215,13 @@ def validate_chain(
             )
 
     subject = chain[0].subject
-    result = ValidationResult(
+    return ValidationResult(
         subject=subject,
         identity=strip_proxy_cns(subject),
         anchor=anchor,
         chain_length=len(walked),
         policy_checked=policy_checked,
     )
-    if len(trust._memo) >= 4096:
-        trust._memo.pop(next(iter(trust._memo)))
-    trust._memo[memo_key] = (
-        result,
-        max(c.not_before for c in chain),
-        min(c.not_after for c in chain),
-    )
-    return result
 
 
 def _find_signer(cert: Certificate, candidates: Iterable[Certificate]) -> Certificate | None:

@@ -4,10 +4,11 @@ Wall-clock benchmarks are machine-dependent; the *number* of RSA
 exponentiations, chain walks, and GSI handshakes a scenario performs is
 not — every stream in the simulation is seeded, so the same (seed,
 scenario) pair executes the identical operation sequence on any machine
-or Python version.  The session-layer caches (GSI session resumption,
-the control-channel pool, DCAU caching) exist precisely to shrink these
-counts, and ``bench_scheduler_fleet --crypto-ops`` gates them in CI:
-counts above the committed baseline mean a cache stopped hitting.
+or Python version.  The session-layer caches (the control-channel
+pool, DCAU caching, the keygen and parse memos) exist precisely to
+shrink these counts, and ``bench_scheduler_fleet --crypto-ops`` gates
+them in CI: counts above the committed baseline mean a cache stopped
+hitting.
 
 Counters are process-global, like the memo layers they observe.  Bump
 sites pay one ``Counter.__iadd__`` — noise next to a 512-bit ``pow``.

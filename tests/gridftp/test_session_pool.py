@@ -5,24 +5,22 @@ a world that reuses pooled channels must reach bit-identical virtual
 outcomes — clock, mapped accounts, transferred bytes — to a world that
 performs every handshake from scratch.  These tests pin the reuse path,
 every invalidation rule (expiry, chaos faults, trust changes, breaker
-trips), the charge-only options fast path, and the twin-world equality
-itself.
+trips, an expired host credential, a revoked authorization), the
+charge-only options fast path, and the twin-world equality itself.
 """
-
-import os
 
 import pytest
 
-from repro.errors import ProtocolError, SecurityError
+from repro.errors import AuthenticationError, ProtocolError, SecurityError
 from repro.gridftp.client import ControlChannelPool
 from repro.gridftp.dcau import DCAUMode
 from repro.gridftp.transfer import TransferOptions
-from repro.gsi.session_cache import caching_enabled
 from repro.pki.ca import CertificateAuthority
 from repro.pki.dn import DistinguishedName
 from repro.sim.world import World
 from repro.storage.data import LiteralData
-from repro.util.units import gbps
+from repro.util import memo
+from repro.util.units import HOUR, gbps
 from repro.xio.drivers import Protection
 from tests.conftest import make_conventional_site
 
@@ -30,7 +28,7 @@ from tests.conftest import make_conventional_site
 # legitimately zeroes; everything else (twin-world equality, expiry,
 # fast-path state) must hold in both modes and runs unguarded
 requires_cache = pytest.mark.skipif(
-    not caching_enabled(),
+    not memo.enabled(),
     reason="REPRO_NO_SESSION_CACHE set: pool occupancy is legitimately 0",
 )
 
@@ -96,7 +94,7 @@ def test_expired_proxy_cannot_resume_from_the_pool():
     s = client.connect(site.server, pooled=True)
     s.release()
     pool = ControlChannelPool.for_world(world)
-    if caching_enabled():
+    if memo.enabled():
         assert pool.stats()["pooled"] == 1
     # jump past the proxy's lifetime: the pooled entry must not replay,
     # and the real handshake must reject the expired credential exactly
@@ -149,6 +147,54 @@ def test_trust_store_change_invalidates_the_entry():
     s2 = client.connect(site.server, pooled=True)
     assert pool.stats()["reuses"] == before
     assert s2.logged_in_as == "alice"
+
+
+def _pooled_twins(monkeypatch, scenario):
+    """``scenario()``'s outcome with the pool on, then under the escape hatch."""
+    monkeypatch.delenv("REPRO_NO_SESSION_CACHE", raising=False)
+    pooled = scenario()
+    monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
+    return pooled, scenario()
+
+
+def _reconnect(world, site, client):
+    """(mapped account or error type, clock) of one pooled connect."""
+    try:
+        mapped = client.connect(site.server, pooled=True).logged_in_as
+    except SecurityError as exc:
+        mapped = type(exc).__name__
+    return mapped, world.now
+
+
+def test_expired_host_credential_fails_reuse_like_a_fresh_login(monkeypatch):
+    def scenario():
+        world, site, client = _build()
+        site.server.credential = site.ca.issue_credential(
+            DistinguishedName.make(("O", "Lab"), ("OU", "hosts"), ("CN", "server1")),
+            lifetime=HOUR,
+        )
+        client.connect(site.server, pooled=True).release()
+        world.clock.advance(2 * HOUR)
+        return _reconnect(world, site, client)
+
+    pooled, fresh = _pooled_twins(monkeypatch, scenario)
+    # the client rejects the AUTH chain after the connect and AUTH round
+    # trip; the pool must not hand back the session instead
+    assert fresh[0] == AuthenticationError.__name__
+    assert pooled == fresh
+
+
+def test_revoked_gridmap_entry_fails_reuse_like_a_fresh_login(monkeypatch):
+    def scenario():
+        world, site, client = _build()
+        client.connect(site.server, pooled=True).release()
+        site.gridmap.remove(site.user_credentials["alice"].subject)
+        world.clock.advance(60.0)
+        return _reconnect(world, site, client)
+
+    pooled, fresh = _pooled_twins(monkeypatch, scenario)
+    assert fresh[0] == AuthenticationError.__name__
+    assert pooled == fresh
 
 
 @requires_cache
@@ -275,13 +321,3 @@ def test_ca_key_pregeneration_is_bit_identical():
 
     assert issue(pregenerate=0) == issue(pregenerate=5)
     assert issue(pregenerate=0) == issue(pregenerate=2)  # pool underrun
-
-
-def test_no_session_cache_env_is_read_per_call(monkeypatch):
-    from repro.gsi.session_cache import caching_enabled
-
-    monkeypatch.delenv("REPRO_NO_SESSION_CACHE", raising=False)
-    assert caching_enabled()
-    monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
-    assert not caching_enabled()
-    assert os.environ.get("REPRO_NO_SESSION_CACHE") == "1"

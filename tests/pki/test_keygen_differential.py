@@ -16,6 +16,7 @@ import random
 import pytest
 
 import repro.pki.rsa as rsa
+from repro.util.memo import Memo
 
 _PLAIN_SMALL_PRIMES = [p for p in range(2, 150) if all(p % q for q in range(2, p))]
 _PLAIN_ROUNDS = 24
@@ -79,7 +80,7 @@ def _plain_generate_keypair(bits: int, rng: random.Random) -> tuple:
 
 @pytest.mark.parametrize("bits", [64, 96, 128, 256, 512])
 def test_generate_keypair_matches_plain_reference(bits, monkeypatch):
-    monkeypatch.setattr(rsa, "_KEYGEN_MEMO", {})
+    monkeypatch.setattr(rsa, "_KEYGEN_MEMO", Memo("rsa.keygen", 256))
     for seed in range(100):
         plain_rng, fast_rng = random.Random(seed), random.Random(seed)
         expected = _plain_generate_keypair(bits, plain_rng)

@@ -139,14 +139,16 @@ def render(world, scheduler=None, breaker=None, catalog=None,
         ))
 
     # session-layer caches: the wall-clock amortization tier (DESIGN.md
-    # §17) — reuse ratios at a glance, invalidations proving the chaos /
-    # expiry rules are actually firing
-    from repro.gsi.session_cache import default_session_cache
+    # §17) — the world's pool, whose invalidations prove the chaos /
+    # expiry rules are actually firing, then every live memo
+    from repro.util.memo import MEMOS
 
     pool = getattr(world, "_control_channel_pool", None)
-    gsi = default_session_cache().stats()
-    rows = [["gsi resumption (process)", gsi["hits"], gsi["misses"],
-             gsi["expirations"], gsi["evictions"], gsi["tokens"]]]
+    rows = []
+    for memo in sorted(MEMOS, key=lambda m: m.name):
+        ms = memo.stats()
+        rows.append([f"memo {memo.name}", ms["hits"], ms["misses"], "-",
+                     ms["evictions"], ms["live"]])
     if pool is not None:
         ps = pool.stats()
         rows.insert(0, ["control-channel pool", ps["reuses"], ps["misses"],
