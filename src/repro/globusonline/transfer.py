@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.gridftp.client import GridFTPClient
 from repro.gridftp.restart import ByteRangeSet
-from repro.gridftp.third_party import third_party_transfer
+from repro.gridftp.third_party import third_party_transfer, wait_paths_clear
 from repro.gridftp.transfer import TransferOptions, TransferResult
 from repro.gridftp.tuning import DatasetShape, autotune
 from repro.recovery import RecoveryEngine
@@ -127,29 +127,6 @@ def _connect_sessions(go: "GlobusOnline", user: "GOUser", job: TransferJob):
     return src_rec, dst_rec, src_act, dst_act, src_session, dst_session
 
 
-def _wait_for_outage(go: "GlobusOnline", job: TransferJob) -> None:
-    """Advance the clock until every path the job needs is up again.
-
-    Backoff between attempts is the recovery engine's business; this only
-    waits out *known* outages (a no-op when the paths are clear).
-    """
-    world = go.world
-    src_host = go.endpoint(job.src_endpoint).gridftp_address[0]
-    dst_host = go.endpoint(job.dst_endpoint).gridftp_address[0]
-    links: set[str] = set()
-    hosts: set[str] = set()
-    for a, b in ((src_host, dst_host), (go.host, src_host), (go.host, dst_host)):
-        try:
-            path = world.network.path(a, b)
-        except Exception:
-            continue
-        links.update(path.link_ids)
-        hosts.update(path.hosts)
-    clear = world.faults.next_clear_time(links, hosts, world.now)
-    if clear > world.now:
-        world.advance_to(clear)
-
-
 def _cross_domain(src_rec, dst_rec) -> bool:
     """Do the endpoints share any trust anchor?  If not, DCSC is required."""
     src_fps = set(src_rec.trust.anchors)
@@ -189,6 +166,12 @@ def _run_job(
         loop_span_name="globusonline.retry",
         attempt_span_name="attempt",
     )
+
+    def job_routes():
+        """The data route and both control routes; outages there stall the job."""
+        src_host = go.endpoint(job.src_endpoint).gridftp_address[0]
+        dst_host = go.endpoint(job.dst_endpoint).gridftp_address[0]
+        return ((src_host, dst_host), (go.host, src_host), (go.host, dst_host))
 
     def operation(att) -> TransferResult:
         job.attempts = att.number
@@ -251,7 +234,7 @@ def _run_job(
         outcome = engine.run(
             operation,
             endpoint=f"{job.src_endpoint}->{job.dst_endpoint}",
-            wait_clear=lambda _n: _wait_for_outage(go, job),
+            wait_clear=lambda _n: wait_paths_clear(world, job_routes()),
             retry_on=(TransferFaultError, LinkDownError),
             on_failure=on_failure,
             describe=f"job {job.job_id}",

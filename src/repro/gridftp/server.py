@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import (
     AuthorizationError,
     CertificateError,
+    DCAUError,
     PamError,
     ProtocolError,
     StorageError,
@@ -383,18 +384,18 @@ class GridFTPSession(ServerSession):
         return [str(R.COMMAND_OK)]
 
     def _cmd_dcau(self, arg: str) -> list[str]:
+        # parse everything before touching state: a rejected DCAU must
+        # leave the previous posture (and its expected peer) in force
         parts = arg.split(None, 1)
-        if not parts:
-            return [str(R.BAD_PARAMETER)]
         try:
-            self.dcau_mode = DCAUMode.parse(parts[0])
-        except Exception:
+            mode = DCAUMode.parse(parts[0])
+            subject = None
+            if mode is DCAUMode.SUBJECT:
+                subject = DistinguishedName.parse(parts[1])
+        except (IndexError, DCAUError, CertificateError):
             return [str(R.BAD_PARAMETER)]
-        self.dcau_subject = None
-        if self.dcau_mode is DCAUMode.SUBJECT:
-            if len(parts) < 2:
-                return [str(R.BAD_PARAMETER)]
-            self.dcau_subject = DistinguishedName.parse(parts[1])
+        self.dcau_mode = mode
+        self.dcau_subject = subject
         return [str(R.COMMAND_OK)]
 
     def _cmd_sbuf(self, arg: str) -> list[str]:

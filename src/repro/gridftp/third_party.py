@@ -17,7 +17,7 @@ where a DCSC context (Figure 5) fixes it.
 
 from __future__ import annotations
 
-from repro.errors import LinkDownError, TransferFaultError
+from repro.errors import LinkDownError, NetworkError, TransferFaultError
 from repro.gridftp.client import ClientSession
 from repro.gridftp.dcsc import encode_dcsc_blob
 from repro.gridftp.restart import ByteRangeSet
@@ -179,6 +179,11 @@ def third_party_with_restart(
         attempt_span_name="attempt",
     )
     endpoint = f"{source_session.server.name}->{dest_session.server.name}"
+    src_host = source_session.server.host
+    dst_host = dest_session.server.host
+    pairs = ((src_host, dst_host),
+             (source_session.client.host, src_host),
+             (dest_session.client.host, dst_host))
 
     def operation(att):
         _reset_control_state(source_session, dest_session)
@@ -195,7 +200,7 @@ def third_party_with_restart(
     outcome = engine.run(
         operation,
         endpoint=endpoint if breaker is not None else None,
-        wait_clear=lambda _n: _wait_paths_clear(world, source_session, dest_session),
+        wait_clear=lambda _n: wait_paths_clear(world, pairs, _MAX_OUTAGE_WAIT_S),
         retry_on=(TransferFaultError, LinkDownError),
         describe="transfer",
         span_fields={"source": source_session.server.name,
@@ -226,25 +231,26 @@ def _reset_control_state(
 _MAX_OUTAGE_WAIT_S = 3600.0
 
 
-def _wait_paths_clear(
-    world, source_session: ClientSession, dest_session: ClientSession
-) -> None:
-    """Advance the clock until (or up to an hour toward) path recovery."""
+def wait_paths_clear(world, host_pairs, max_wait_s: float | None = None) -> None:
+    """Advance the clock until the known outages on some routes are over.
+
+    Collects the links and hosts on the route of every ``(a, b)`` pair
+    (skipping pairs with no route) and advances to the fault plan's next
+    clear time, by at most ``max_wait_s`` when given.  Backoff between
+    attempts is the recovery engine's business; this only waits out
+    *known* outages, and is a no-op when the routes are clear.
+    """
     links: set[str] = set()
     hosts: set[str] = set()
-    src_host = source_session.server.host
-    dst_host = dest_session.server.host
-    for a, b in (
-        (src_host, dst_host),
-        (source_session.client.host, src_host),
-        (dest_session.client.host, dst_host),
-    ):
+    for a, b in host_pairs:
         try:
             path = world.network.path(a, b)
-        except Exception:
+        except NetworkError:
             continue
         links.update(path.link_ids)
         hosts.update(path.hosts)
     clear = world.faults.next_clear_time(links, hosts, world.now)
+    if max_wait_s is not None:
+        clear = min(clear, world.now + max_wait_s)
     if clear > world.now:
-        world.advance_to(min(clear, world.now + _MAX_OUTAGE_WAIT_S))
+        world.advance_to(clear)

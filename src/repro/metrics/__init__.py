@@ -1,7 +1,7 @@
 """Usage metrics: records, collection, aggregation, table rendering."""
 
 from repro.metrics.usage import UsageRecord, UsageCollector, DailyUsage
-from repro.metrics.report import render_table, render_series, render_metrics
+from repro.metrics.report import render_table, render_series
 
 __all__ = [
     "UsageRecord",
@@ -9,5 +9,4 @@ __all__ = [
     "DailyUsage",
     "render_table",
     "render_series",
-    "render_metrics",
 ]

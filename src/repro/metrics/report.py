@@ -50,19 +50,6 @@ def render_series(
     return render_table(caption, headers, rows)
 
 
-def render_metrics(registry, caption: str = "Metrics") -> str:
-    """The human view of a :class:`~repro.telemetry.metrics.MetricsRegistry`.
-
-    One row per labelled series (histograms show count and sum), in the
-    same aligned-table style every benchmark prints.
-    """
-    rows = []
-    for sample in registry.samples():
-        labels = ", ".join(f"{k}={v}" for k, v in sample.labels)
-        rows.append([sample.name, labels, sample.value])
-    return render_table(caption, ["metric", "labels", "value"], rows)
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         if value == 0:

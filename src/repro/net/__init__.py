@@ -8,16 +8,19 @@ This package replaces the paper's physical testbed.  It provides:
 * :mod:`repro.net.udt` — a rate-based UDT model (the XIO UDT driver);
 * :mod:`repro.net.sockets` — ports, listeners and connection setup;
 * :mod:`repro.net.channel` — request/response control channels with RTT
-  accounting (this is what makes pipelining measurable);
-* :mod:`repro.net.flows` — bandwidth sharing among concurrent flows.
+  accounting (this is what makes pipelining measurable).
+
+Whole transfers are timed by the GridFTP transfer engine
+(:mod:`repro.gridftp.transfer`), which combines these rates with
+setup, ramp and fault windows; concurrent files share a bottleneck
+there.
 """
 
 from repro.net.topology import Host, Link, Network, PathStats
-from repro.net.tcp import TCPModel, tcp_stream_rate, tcp_aggregate_rate, tcp_transfer_time
+from repro.net.tcp import TCPModel, tcp_stream_rate, tcp_aggregate_rate
 from repro.net.udt import UDTModel
 from repro.net.sockets import Listener, Service, ServerSession
 from repro.net.channel import ControlChannel
-from repro.net.flows import fair_share, batch_transfer_time
 
 __all__ = [
     "Host",
@@ -27,12 +30,9 @@ __all__ = [
     "TCPModel",
     "tcp_stream_rate",
     "tcp_aggregate_rate",
-    "tcp_transfer_time",
     "UDTModel",
     "Listener",
     "Service",
     "ServerSession",
     "ControlChannel",
-    "fair_share",
-    "batch_transfer_time",
 ]

@@ -16,9 +16,10 @@ they are exactly the effects GridFTP's optimizations attack:
    small files is round-trip-bound and why GridFTP pipelining matters.
 
 The model is analytic and deterministic: given a :class:`PathStats` it
-returns steady-state rates and whole-transfer durations.  It is not a
-packet simulator, but it reproduces the *shape* of every performance
-claim in the paper (see DESIGN.md section 2).
+returns steady-state rates and the slow-start penalty, which the XIO TCP
+driver hands to the transfer engine.  It is not a packet simulator, but
+it reproduces the *shape* of every performance claim in the paper (see
+DESIGN.md section 2).
 """
 
 from __future__ import annotations
@@ -109,28 +110,3 @@ def slow_start_penalty_s(path: PathStats, rate_bps: float, model: TCPModel) -> f
         return 0.0
     doublings = math.log2(steady_window_bits / init_bits)
     return doublings * path.rtt_s
-
-
-def tcp_transfer_time(
-    nbytes: int,
-    path: PathStats,
-    streams: int = 1,
-    model: TCPModel | None = None,
-    include_handshake: bool = True,
-) -> float:
-    """Seconds to move ``nbytes`` over ``streams`` parallel streams.
-
-    Includes connection setup (the stream handshakes run concurrently, so
-    one handshake delay is charged) and the slow-start ramp.
-    """
-    if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
-    model = model or TCPModel.untuned()
-    rate = tcp_aggregate_rate(path, streams, model)
-    t = 0.0
-    if include_handshake:
-        t += model.handshake_rtts * path.rtt_s
-    if nbytes:
-        t += slow_start_penalty_s(path, rate / streams, model)
-        t += nbytes * 8.0 / rate
-    return t

@@ -1,23 +1,22 @@
-"""Telemetry: tracing, metrics, profiling, and fleet observability.
+"""Telemetry: tracing, metrics, and fleet observability.
 
-Five pillars (see DESIGN.md "Observability"):
+Four pillars (see DESIGN.md "Observability"):
 
 * :mod:`repro.telemetry.trace` — trace/span propagation over the
-  virtual clock, with causal-tree reconstruction per transfer;
+  virtual clock, with causal-tree reconstruction per transfer; a
+  span's duration is its record of where virtual time went;
 * :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms with Prometheus-style text exposition and optional
   trace-id exemplars per bucket;
-* :mod:`repro.telemetry.profiling` — the ``@timed`` decorator and the
-  per-world slow-operation log;
 * :mod:`repro.telemetry.flightrecorder` — the bounded per-job black
   box: causal records assembled from scheduler/recovery/transfer
   events, keyed by trace id;
 * :mod:`repro.telemetry.slo` — declarative objectives with
   multi-window burn-rate alerting over virtual time.
 
-Every :class:`~repro.sim.world.World` owns the first three as
-``world.tracer``, ``world.metrics``, and ``world.slow_ops``; the last
-two attach on demand via ``world.enable_observability()``.
+Every :class:`~repro.sim.world.World` owns the first two as
+``world.tracer`` and ``world.metrics``; the last two attach on demand
+via ``world.enable_observability()``.
 """
 
 from repro.telemetry.flightrecorder import FlightEvent, FlightRecord, FlightRecorder
@@ -30,7 +29,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     Sample,
 )
-from repro.telemetry.profiling import SlowOp, SlowOpLog, timed
 from repro.telemetry.slo import (
     BurnWindow,
     ServiceObjective,
@@ -54,14 +52,11 @@ __all__ = [
     "SLOEngine",
     "Sample",
     "ServiceObjective",
-    "SlowOp",
-    "SlowOpLog",
     "Span",
     "TimelineNode",
     "Trace",
     "TraceContext",
     "Tracer",
     "default_slos",
-    "timed",
     "wire_slos",
 ]

@@ -491,7 +491,11 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def render_table(self, caption: str = "Metrics") -> str:
-        """Human-readable table via :mod:`repro.metrics.report`."""
-        from repro.metrics.report import render_metrics
+        """One row per labelled series (histograms show count and sum)."""
+        from repro.metrics.report import render_table
 
-        return render_metrics(self, caption=caption)
+        rows = [
+            [s.name, ", ".join(f"{k}={v}" for k, v in s.labels), s.value]
+            for s in self.samples()
+        ]
+        return render_table(caption, ["metric", "labels", "value"], rows)

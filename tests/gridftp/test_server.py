@@ -76,6 +76,19 @@ def test_pbsz_prot_dcau(session):
     assert last_code(ss.handle("DCAU S")) == 501
 
 
+@pytest.mark.parametrize("line", ["DCAU S", "DCAU S not-a-dn"],
+                         ids=["no-dn", "malformed-dn"])
+def test_rejected_dcau_s_keeps_the_login_identity(session, line):
+    """A bad DCAU S is a 501 that leaves DCAU checking the logged-in peer."""
+    world, site, ss, cs = session
+    alice = site.user_credentials["alice"].subject
+    assert ss.data_channel_security().expected_identity == alice
+    assert last_code(ss.handle(line)) == 501
+    assert ss.dcau_mode.value == "A"
+    assert ss.dcau_subject is None
+    assert ss.data_channel_security().expected_identity == alice
+
+
 def test_sbuf(session):
     world, site, ss, cs = session
     assert last_code(ss.handle("SBUF 4194304")) == 200

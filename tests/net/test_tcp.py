@@ -10,9 +10,14 @@ from repro.net.tcp import (
     slow_start_penalty_s,
     tcp_aggregate_rate,
     tcp_stream_rate,
-    tcp_transfer_time,
 )
+from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
+from repro.gridftp.transfer import SinkSpec, SourceSpec, TransferEngine, TransferOptions
 from repro.net.topology import PathStats
+from repro.pki.validation import TrustStore
+from repro.sim.world import World
+from repro.storage.data import LiteralData, SyntheticData
+from repro.storage.posix import PosixStorage
 from repro.util.units import GB, KB, MB, gbps
 
 
@@ -87,25 +92,44 @@ def test_slow_start_penalty_zero_for_tiny_rates():
     assert slow_start_penalty_s(make_path(rtt=0.1), 1e5, model) == 0.0
 
 
+def engine_transfer(data, options, charge_setup=True):
+    """One transfer of ``data`` over a lossless 1 Gb/s, 100 ms RTT link."""
+    world = World(seed=5)
+    net = world.network
+    net.add_host("a")
+    net.add_host("b")
+    net.add_link("a", "b", gbps(1), 0.05)
+    fs = PosixStorage(world.clock)
+    fs.write_file("/f", data)
+    none = DataChannelSecurity(mode=DCAUMode.NONE, credential=None, trust=TrustStore())
+    source = SourceSpec(hosts=("a",), data=fs.open_read("/f", 0), security=none)
+    sink = SinkSpec(hosts=("b",), sink=fs.open_write("/g", 0, data.size), security=none)
+    result = TransferEngine(world).execute(source, sink, options, charge_setup=charge_setup)
+    return result, net.path("a", "b")
+
+
 def test_transfer_time_components():
-    path = make_path(rtt=0.1, bw=gbps(1))
+    opts = TransferOptions(parallelism=4, tcp_window_bytes=16 * MB)
     model = TCPModel.tuned(16 * MB)
-    t = tcp_transfer_time(1 * GB, path, streams=4, model=model)
-    payload = 1 * GB * 8 / tcp_aggregate_rate(path, 4, model)
-    assert t > payload  # handshake + ramp on top
-    t_no_hs = tcp_transfer_time(1 * GB, path, streams=4, model=model, include_handshake=False)
-    assert t_no_hs < t
+    data = SyntheticData(seed=1, length=1 * GB)
+    res, path = engine_transfer(data, opts)
+    rate = tcp_aggregate_rate(path, 4, model)
+    payload = 1 * GB * 8 / rate
+    handshake = model.handshake_rtts * path.rtt_s
+    ramp = slow_start_penalty_s(path, rate / 4, model)
+    assert ramp > 0
+    assert res.duration_s == pytest.approx(payload + handshake + ramp)
+    # a cached (already set up) data channel pays the payload alone
+    warm, _ = engine_transfer(data, opts, charge_setup=False)
+    assert warm.duration_s == pytest.approx(payload)
 
 
 def test_transfer_time_zero_bytes():
-    path = make_path()
-    t = tcp_transfer_time(0, path, model=TCPModel())
-    assert t == pytest.approx(TCPModel().handshake_rtts * path.rtt_s)
-
-
-def test_transfer_time_negative_bytes_rejected():
-    with pytest.raises(ValueError):
-        tcp_transfer_time(-1, make_path())
+    res, path = engine_transfer(LiteralData(b""), TransferOptions())
+    model = TCPModel()
+    ramp = slow_start_penalty_s(path, tcp_stream_rate(path, model), model)
+    assert res.nbytes == 0
+    assert res.duration_s == pytest.approx(model.handshake_rtts * path.rtt_s + ramp)
 
 
 def test_untuned_vs_tuned_headline():

@@ -103,15 +103,3 @@ def test_tracer_clear_drops_closed_spans(fresh_world):
     w.tracer.clear()
     assert w.tracer.spans == []
     assert w.tracer.traces() == []
-
-
-def test_slow_spans_feed_slow_op_log(fresh_world):
-    w = fresh_world
-    w.slow_ops.threshold_s = 1.0
-    with w.span("fast"):
-        w.advance(0.5)
-    with w.span("slow"):
-        w.advance(2.5)
-    names = [op.name for op in w.slow_ops]
-    assert "slow" in names
-    assert "fast" not in names

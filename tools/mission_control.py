@@ -2,16 +2,18 @@
 """Mission control: one snapshot dashboard for a simulated fleet.
 
 ``render(world, scheduler, breaker=...)`` assembles the operator view
-the REST portal will eventually serve: per-user queue depths and
-fair-share virtual tags, outstanding leases ordered by expiry, circuit
-breaker states per endpoint, SLO burn rates with alert status, and the
-top-N slowest flight records (with their exemplar trace ids, so a row
-here links to a ``# {trace_id=...}`` exemplar in the Prometheus text).
-A ``ShardedFleetScheduler`` renders one lane/lease/admission panel set
-per shard under a fleet-totals header (``--shards N`` in the demo).
-Pass ``catalog=`` an archive :class:`~repro.archive.Catalog` to prepend
-the archival pipeline's panels — per-request fan-out, bundle counts by
-state-machine status, live component claims (``--archive`` in the demo
+the REST portal will eventually serve: queued tasks, per-user queue
+depths and fair-share virtual tags, outstanding leases ordered by
+expiry, workers and their crash counts, circuit breaker states per
+endpoint, SLO burn rates with alert status, and the top-N slowest
+flight records (with their exemplar trace ids, so a row here links to
+a ``# {trace_id=...}`` exemplar in the Prometheus text).
+A ``ShardedFleetScheduler`` renders one queue/lane/lease/worker/
+admission panel set per shard under a fleet-totals header
+(``--shards N`` in the demo).  Pass ``catalog=`` an archive
+:class:`~repro.archive.Catalog` to prepend the archival pipeline's
+panels — per-request fan-out, per-bundle state-machine status, bundle
+counts by status, live component claims (``--archive`` in the demo
 runs a quick chaos campaign and renders its aftermath).
 
 Requires ``world.enable_observability()`` for the SLO and flight
@@ -20,6 +22,8 @@ directly for a self-contained chaos demo:
 
     PYTHONPATH=src python tools/mission_control.py
     PYTHONPATH=src python tools/mission_control.py --seed 11 --top 5
+    PYTHONPATH=src python tools/mission_control.py --shards 2
+    PYTHONPATH=src python tools/mission_control.py --archive
 """
 
 from __future__ import annotations
@@ -39,9 +43,19 @@ def _fmt_vt(value: float | None) -> str:
 
 
 def _scheduler_panels(snap: dict, prefix: str = "") -> list[str]:
-    """Lane, lease, and admission tables for one scheduler (or one
-    shard of a sharded control plane)."""
+    """Queue, lane, lease, worker, and admission tables for one
+    scheduler (or one shard of a sharded control plane)."""
     panels = [render_table(
+        f"{prefix}queued tasks ({len(snap['queued'])})",
+        ["task", "user", "state", "prio", "attempts", "bytes", "waiting_s",
+         "route"],
+        [
+            [q["task"], q["user"], q["state"], q["priority"], q["attempts"],
+             q["bytes"], f"{q['waiting_s']:.2f}", q["route"]]
+            for q in snap["queued"]
+        ],
+    )]
+    panels.append(render_table(
         f"{prefix}fair-share lanes ({len(snap['lanes'])} users, "
         f"global vtime {snap['global_vtime']:.0f})",
         ["user", "depth", "weight", "vtime_tag", "delivered_bytes"],
@@ -50,7 +64,7 @@ def _scheduler_panels(snap: dict, prefix: str = "") -> list[str]:
              _fmt_vt(ln["vtime"]), ln["delivered_bytes"]]
             for ln in snap["lanes"]
         ],
-    )]
+    ))
     panels.append(render_table(
         f"{prefix}outstanding leases ({len(snap['expiry_heap'])}, by expiry)",
         ["task", "worker", "expires_in_s", "abandoned"],
@@ -59,6 +73,12 @@ def _scheduler_panels(snap: dict, prefix: str = "") -> list[str]:
              le["abandoned"]]
             for le in snap["expiry_heap"]
         ],
+    ))
+    panels.append(render_table(
+        f"{prefix}workers ({len(snap['workers'])})",
+        ["worker", "host", "alive", "crashes"],
+        [[w["worker"], w["host"], w["alive"], w["crashes"]]
+         for w in snap["workers"]],
     ))
     adm = snap["admission"]
     ewma = adm["service_ewma_s"]
@@ -75,8 +95,8 @@ def _scheduler_panels(snap: dict, prefix: str = "") -> list[str]:
 
 
 def _catalog_panels(catalog) -> list[str]:
-    """Archival pipeline panels: per-request fan-out, bundle status
-    counts, and the component claims currently in flight."""
+    """Archival pipeline panels: per-request fan-out, per-bundle status,
+    status counts, and the component claims currently in flight."""
     snap = catalog.snapshot()
     panels = [render_table(
         f"archive requests ({len(snap['requests'])})",
@@ -87,6 +107,16 @@ def _catalog_panels(catalog) -> list[str]:
             for r in snap["requests"]
         ],
     )]
+    panels.append(render_table(
+        f"bundles ({len(snap['bundles'])})",
+        ["bundle", "request", "status", "files", "bytes", "attempts",
+         "replicas", "checksum"],
+        [
+            [b["bundle"], b["request"], b["status"], b["files"], b["bytes"],
+             b["attempts"], b["replicas"], b["checksum"]]
+            for b in snap["bundles"]
+        ],
+    ))
     counts = snap["counts"]
     panels.append(render_table(
         "bundle pipeline (by status)",
