@@ -24,7 +24,7 @@ from repro.xio.drivers import Protection
 
 
 def run_claim_lite():
-    world = World(seed=15)
+    world = World(seed=15, trace=True)
     net = world.network
     for h in ("lite-host", "lite-dtp", "gcmu-host", "laptop"):
         net.add_host(h, nic_bps=gbps(10))

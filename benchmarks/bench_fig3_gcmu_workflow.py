@@ -22,7 +22,7 @@ from repro.util.units import fmt_duration, gbps
 
 
 def run_fig3():
-    world = World(seed=3)
+    world = World(seed=3, trace=True)
     net = world.network
     net.add_host("dtn", nic_bps=gbps(10))
     net.add_host("laptop", nic_bps=gbps(1))

@@ -20,7 +20,7 @@ PAYLOAD = 100 * GB
 
 
 def run_fig6():
-    world = World(seed=6)
+    world = World(seed=6, trace=True)
     net = world.network
     for h in ("dtn-a", "dtn-b", "saas"):
         net.add_host(h, nic_bps=gbps(10))

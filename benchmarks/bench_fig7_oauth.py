@@ -18,7 +18,7 @@ from repro.util.units import MB, gbps
 
 
 def run_fig7():
-    world = World(seed=7)
+    world = World(seed=7, trace=True)
     net = world.network
     for h in ("dtn-a", "dtn-b", "saas"):
         net.add_host(h, nic_bps=gbps(10))

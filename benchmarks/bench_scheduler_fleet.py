@@ -27,12 +27,16 @@ on a >30% ``queue_wait_p99_s`` increase; that metric is deterministic
 virtual time, so any drift is a behaviour change (``BENCH_TOLERANCE``
 overrides the tolerance, a fraction).
 
-``--observability`` runs the same storm with the flight recorder and
-SLO engine attached (``World.enable_observability``).  ``--overhead-check``
-runs the scenario both ways, best-of-2 per mode, and fails if the
-instrumented run's jobs/sec falls more than ``OVERHEAD_TOLERANCE``
-(default 10%) below the bare run — the "observability is near-free"
-gate.
+The storm's world keeps no spans or events (``World(trace=False)``);
+``--observability`` builds it with ``trace=True`` and attaches the
+flight recorder and SLO engine (``World.enable_observability``).
+``--overhead-check`` prices three telemetry levels, best-of-2 each:
+``off`` (the default world), ``trace`` (``World(trace=True)``) and
+``flight`` (``trace`` plus ``enable_observability``).  It prints every
+level's jobs/sec and its tax against ``off``.  It fails if the flight
+level's jobs/sec falls more than ``OVERHEAD_TOLERANCE`` (default 10%)
+below the trace level's — the "observability is near-free" gate — or
+if any two levels disagree on the virtual outcome.
 
 Sharded control plane (DESIGN.md §14)::
 
@@ -114,9 +118,9 @@ def make_site(world, host, site_name, users, register_with, endpoint_name):
     return endpoint
 
 
-def build_fleet(seed: int, users: int, shards: int | None = None):
+def build_fleet(seed: int, users: int, shards: int | None = None, trace: bool = False):
     """The soak topology at benchmark scale, chaos armed on the workers."""
-    world = World(seed=seed, event_capacity=50_000, span_capacity=50_000)
+    world = World(seed=seed, event_capacity=50_000, span_capacity=50_000, trace=trace)
     net = world.network
     for h in ("dtn-a", "dtn-b", "saas"):
         net.add_host(h, nic_bps=gbps(10))
@@ -152,8 +156,10 @@ def build_fleet(seed: int, users: int, shards: int | None = None):
 
 
 def run_bench(seed: int, users: int, jobs: int, quick: bool,
-              observability: bool = False, shards: int | None = None) -> dict:
-    world, go, ep_a, ep_b = build_fleet(seed, users, shards=shards)
+              observability: bool = False, shards: int | None = None,
+              trace: bool = False) -> dict:
+    world, go, ep_a, ep_b = build_fleet(seed, users, shards=shards,
+                                        trace=trace or observability)
     if observability:
         world.enable_observability()
     accounts = []
@@ -292,7 +298,7 @@ def run_scale_bench(seed: int, users: int, jobs: int, shards: int,
     """
     import gc
 
-    world = World(seed=seed, event_capacity=10_000, span_capacity=10_000)
+    world = World(seed=seed)
     # scale tier runs admission wide open: the point is to *hold* a
     # 100k-user backlog, not to reject it at the door
     config = SchedulerConfig(
@@ -372,7 +378,7 @@ def fingerprint_check(seed: int, users: int, jobs: int) -> int:
     bytes, per-user bytes, every lifecycle count, and the virtual clock.
     """
     def drive(sharded: bool) -> dict:
-        world = World(seed=seed, event_capacity=10_000, span_capacity=10_000)
+        world = World(seed=seed)
         world.chaos.configure(ChaosConfig(
             host_crash_every_s=600.0, host_downtime_s=(10.0, 30.0),
             horizon_s=10 * 24 * 3600.0,
@@ -506,39 +512,45 @@ def check_crypto(current: dict, baseline_path: pathlib.Path) -> int:
     return 0
 
 
-def overhead_check(seed: int, users: int, jobs: int, quick: bool) -> int:
-    """Exit code 1 if full observability costs more than the tolerance.
+#: telemetry levels the overhead gate prices: (label, trace, observability)
+LEVELS = (("off", False, False), ("trace", True, False), ("flight", True, True))
 
-    Best-of-2 wall-clock runs per mode: the max filters out one-off
-    allocator/GC stalls the same way the CI bench-smoke gate does.  The
-    virtual-time outcome must be bit-identical across modes — the
-    recorder and SLO engine only observe — so that is asserted too.
+
+def overhead_check(seed: int, users: int, jobs: int, quick: bool) -> int:
+    """Exit code 1 if flight recording costs more than the tolerance.
+
+    Runs the storm at each of :data:`LEVELS`, best-of-2 wall-clock runs
+    per level: the max filters out one-off allocator/GC stalls the same
+    way the CI bench-smoke gate does.  The gate compares ``flight``
+    against ``trace``, a world that keeps spans and events either way;
+    every level's tax against ``off`` is printed too.  Telemetry only
+    observes, so the virtual outcome must be identical at every level.
     """
     tol = float(os.environ.get("OVERHEAD_TOLERANCE", "0.10"))
     best = {}
     virtual = {}
-    for mode in (False, True):
-        label = "observability" if mode else "bare"
+    for label, trace, observability in LEVELS:
         rates = []
         for _ in range(2):
-            rep = run_bench(seed, users, jobs, quick=quick, observability=mode)
+            rep = run_bench(seed, users, jobs, quick=quick,
+                            observability=observability, trace=trace)
             rates.append(rep["results"]["jobs_per_s"])
-            virtual[mode] = (rep["results"]["virtual_duration_s"],
-                             rep["results"]["queue_wait_p99_s"],
-                             rep["results"]["bytes_delivered"])
-        best[mode] = max(rates)
-        print(f"[overhead] {label}: best-of-2 {best[mode]:.1f} jobs/s "
-              f"(runs: {', '.join(f'{r:.1f}' for r in rates)})")
-    if virtual[False] != virtual[True]:
-        print(f"[overhead] FAIL: virtual outcome diverged "
-              f"bare={virtual[False]} instrumented={virtual[True]}")
+            virtual[label] = (rep["results"]["virtual_duration_s"],
+                              rep["results"]["queue_wait_p99_s"],
+                              rep["results"]["bytes_delivered"])
+        best[label] = max(rates)
+        tax = 1.0 - best[label] / best["off"]
+        print(f"[overhead] {label}: best-of-2 {best[label]:.1f} jobs/s, "
+              f"tax {tax:+.1%} vs off (runs: {', '.join(f'{r:.1f}' for r in rates)})")
+    if len(set(virtual.values())) > 1:
+        print(f"[overhead] FAIL: virtual outcome diverged across levels {virtual}")
         return 1
-    floor = best[False] * (1.0 - tol)
-    tax = 1.0 - best[True] / best[False]
-    verdict = "OK" if best[True] >= floor else "REGRESSION"
-    print(f"[overhead] tax {tax:+.1%} (tolerance {tol:.0%}, "
-          f"floor {floor:.1f} jobs/s) -> {verdict}")
-    return 0 if best[True] >= floor else 1
+    floor = best["trace"] * (1.0 - tol)
+    tax = 1.0 - best["flight"] / best["trace"]
+    ok = best["flight"] >= floor
+    print(f"[overhead] flight tax {tax:+.1%} vs trace (tolerance {tol:.0%}, "
+          f"floor {floor:.1f} jobs/s) -> {'OK' if ok else 'REGRESSION'}")
+    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -553,9 +565,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", type=pathlib.Path, default=None,
                         help="baseline JSON to gate against (>30%% regression fails)")
     parser.add_argument("--observability", action="store_true",
-                        help="attach the flight recorder + SLO engine")
+                        help="keep spans and events and attach the flight "
+                             "recorder + SLO engine")
     parser.add_argument("--overhead-check", action="store_true",
-                        help="gate instrumented jobs/sec against the bare run "
+                        help="price the off/trace/flight telemetry levels and gate "
+                             "flight jobs/sec against trace "
                              "(OVERHEAD_TOLERANCE, default 10%%)")
     parser.add_argument("--shards", type=int, default=None,
                         help="run the sharded control plane with N shards")

@@ -16,7 +16,7 @@ from repro.util.units import gbps
 
 
 def main() -> None:
-    world = World(seed=99)
+    world = World(seed=99, trace=True)
     net = world.network
     net.add_host("lab-vm", nic_bps=gbps(10))
     net.add_host("peer-vm", nic_bps=gbps(10))

@@ -34,7 +34,7 @@ def build_site(world, go, host, site_name, users, endpoint_name):
 
 
 def main() -> None:
-    world = World(seed=66)
+    world = World(seed=66, trace=True)
     net = world.network
     for h in ("dtn-a", "dtn-b", "globusonline.org"):
         net.add_host(h, nic_bps=gbps(10))

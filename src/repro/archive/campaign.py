@@ -102,9 +102,10 @@ class ArchivalCampaign:
 
     def __init__(self, config: CampaignConfig | None = None) -> None:
         self.config = cfg = config or CampaignConfig()
-        # unbounded event log: soak assertions scan the full campaign
+        # traced, with an unbounded event log: flight recording needs the
+        # spans and events, and soak assertions scan the full campaign
         # (a run emits a few tens of thousands of events, well in budget)
-        self.world = world = World(seed=cfg.seed, span_capacity=8192)
+        self.world = world = World(seed=cfg.seed, span_capacity=8192, trace=True)
         world.enable_observability(slos=default_slos() + archive_slos())
 
         net = world.network

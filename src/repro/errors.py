@@ -65,6 +65,15 @@ class CircuitOpenError(ReproError):
         self.retry_after_s = retry_after_s
 
 
+class TelemetryNotRecordedError(ReproError):
+    """A read of spans or events that the world was built not to keep.
+
+    A ``World`` records spans and events only at ``trace=True``; reading
+    them from any other world raises this instead of answering empty, so
+    "no such event" is never confused with "nothing was kept".
+    """
+
+
 # ---------------------------------------------------------------------------
 # PKI / GSI security
 # ---------------------------------------------------------------------------

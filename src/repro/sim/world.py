@@ -9,12 +9,16 @@ Creating a world is the first line of every example and benchmark::
 
     world = World(seed=7)
     site = world.network.add_host("alcf-dtn1", nic_bps=gbps(10))
+
+A world keeps spans and events only when asked, with ``World(trace=True)``;
+metrics are always on (see :class:`World`).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.errors import TelemetryNotRecordedError
 from repro.sim.clock import Clock
 from repro.sim.events import Scheduler
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -27,9 +31,19 @@ from repro.util.logging import Event, EventLog
 class World:
     """Container for one reproducible simulation run.
 
-    ``event_capacity`` bounds the event log and ``span_capacity`` the
-    tracer's retained spans (ring-buffer eviction) for fleet-scale runs;
-    the defaults keep everything.
+    ``trace`` chooses what the world records about itself.  Metrics are
+    kept either way.  At ``trace=False`` (the default) no span or event
+    is kept: ``tracer.span`` hands out one shared no-op handle, ``emit``
+    builds an event only when the log has subscribers (such as the
+    Figure 1 usage collector), and reading ``log`` or
+    ``tracer`` raises :class:`~repro.errors.TelemetryNotRecordedError`.
+    ``trace=True`` keeps every span and event, and is required by
+    :meth:`enable_observability`.
+
+    At ``trace=True``, ``event_capacity`` bounds the event log and
+    ``span_capacity`` the tracer's retained spans (ring-buffer eviction)
+    for fleet-scale runs; the defaults keep everything.  At
+    ``trace=False`` they bound nothing, since nothing is kept.
     """
 
     def __init__(
@@ -38,14 +52,16 @@ class World:
         start_time: float = 0.0,
         event_capacity: int | None = None,
         span_capacity: int | None = None,
+        trace: bool = False,
     ) -> None:
         self.clock = Clock(start_time)
         self.scheduler = Scheduler(self.clock)
         self.faults = FaultPlan()
         self.rng = RngFactory(seed)
-        self.log = EventLog(capacity=event_capacity)
+        self.trace = trace
+        self.log = EventLog(capacity=event_capacity, record=trace)
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(self, span_capacity=span_capacity)
+        self.tracer = Tracer(self, span_capacity=span_capacity, record=trace)
         # Imported here to avoid a circular import: repro.net needs World
         # type hints only, but World owns the concrete Network.
         from repro.net.topology import Network
@@ -85,8 +101,15 @@ class World:
         """Append a structured event stamped with the current virtual time.
 
         Events emitted inside an active tracer span carry its trace and
-        span ids, tying the flat log to the causal tree.
+        span ids, tying the flat log to the causal tree.  At
+        ``trace=False`` the event is built only for the log's
+        subscribers, and None is returned when there are none.
         """
+        log = self.log
+        if not self.trace:
+            if log._subscribers:
+                return log.emit_event(Event(self.clock._now, category, message, fields))
+            return None
         stack = self.tracer._stack
         if stack:
             ctx = stack[-1].context
@@ -96,7 +119,7 @@ class World:
         # build the Event here and hand it straight to the log: emit()
         # runs tens of thousands of times per drain, and the kwargs
         # repack through EventLog.emit was a measurable slice of it
-        return self.log.emit_event(Event(
+        return log.emit_event(Event(
             self.clock._now, category, message, fields, trace_id, span_id,
         ))
 
@@ -116,7 +139,13 @@ class World:
         Idempotent: a second call returns the already-attached pair.
         ``slos`` overrides the default objective set; ``queue_wait_slo_s``
         tunes the stock queue-wait latency cut when defaults are used.
+        Flight recording is built on spans and events, so a world without
+        ``trace=True`` raises :class:`~repro.errors.TelemetryNotRecordedError`.
         """
+        if not self.trace:
+            raise TelemetryNotRecordedError(
+                "flight recording needs a world that keeps spans and events: World(trace=True)"
+            )
         if self.flight_recorder is not None and self.slo is not None:
             return self.flight_recorder, self.slo
         # Lazy imports: telemetry.flightrecorder/slo import scheduler-facing
@@ -134,7 +163,8 @@ class World:
         return self.flight_recorder, self.slo
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        events = len(self.log) if self.trace else "unrecorded"
         return (
             f"World(now={self.clock.now:.3f}, hosts={len(self.network.hosts)}, "
-            f"events={len(self.log)})"
+            f"events={events})"
         )

@@ -17,6 +17,12 @@ Four pillars (see DESIGN.md "Observability"):
 Every :class:`~repro.sim.world.World` owns the first two as
 ``world.tracer`` and ``world.metrics``; the last two attach on demand
 via ``world.enable_observability()``.
+
+Telemetry has two levels, chosen per world.  Metrics are always kept.
+Spans and events are kept only by ``World(trace=True)``, which flight
+recording also requires; the default world keeps neither, delivers
+events to log subscribers only, and raises
+:class:`~repro.errors.TelemetryNotRecordedError` on any read of them.
 """
 
 from repro.telemetry.flightrecorder import FlightEvent, FlightRecord, FlightRecorder

@@ -23,12 +23,19 @@ Because all endpoints of a simulated transfer share one world, context
 propagates across "processes" for free: a server handling a command
 inside a client's control-channel span becomes its child, exactly as a
 propagated trace header would behave in a real deployment.
+
+Spans are recorded only by a ``World(trace=True)``.  Any other world's
+tracer hands every :meth:`Tracer.span` call one shared no-op handle,
+keeps nothing, and raises :class:`~repro.errors.TelemetryNotRecordedError`
+when its spans or traces are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
+
+from repro.errors import TelemetryNotRecordedError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
@@ -163,12 +170,19 @@ class Tracer:
     fleet-scale run opens tens of thousands of spans, and an unbounded
     store makes every GC pass — and therefore every transfer — pay for
     all of history.  The default (None) keeps everything.
+
+    With ``record=False`` (``World(trace=False)``, the default) the
+    tracer records nothing: :meth:`span` returns the shared no-op
+    handle, :attr:`current` stays None, and every query raises
+    :class:`~repro.errors.TelemetryNotRecordedError`.
     """
 
-    def __init__(self, world: "World", span_capacity: int | None = None) -> None:
+    def __init__(self, world: "World", span_capacity: int | None = None,
+                 record: bool = True) -> None:
         if span_capacity is not None and span_capacity < 1:
             raise ValueError("span_capacity must be >= 1")
         self._world = world
+        self.recording = record
         self._stack: list[Span] = []
         self._spans: list[Span] = []
         self._capacity = span_capacity
@@ -194,6 +208,13 @@ class Tracer:
             kept.append(s)
         self._spans = kept
 
+    def _kept(self) -> list[Span]:
+        if not self.recording:
+            raise TelemetryNotRecordedError(
+                "this world keeps no spans; build it with World(trace=True) to read them"
+            )
+        return self._spans
+
     # -- recording -----------------------------------------------------------
 
     @property
@@ -210,7 +231,12 @@ class Tracer:
         timeline.  (A plain handle object, not a generator: span entry
         runs on every control-channel command, and the ``contextmanager``
         machinery was a measurable share of fleet drain time.)
+
+        An unrecording tracer returns one shared no-op handle instead;
+        its span has an empty trace id and drops field writes.
         """
+        if not self.recording:
+            return _NULL_HANDLE
         stack = self._stack
         if stack:
             parent = stack[-1].context
@@ -239,18 +265,18 @@ class Tracer:
     @property
     def spans(self) -> list[Span]:
         """Every recorded span, in open order."""
-        return list(self._spans)
+        return list(self._kept())
 
     def trace_ids(self) -> list[str]:
         """Distinct trace ids in first-seen order."""
         seen: dict[str, None] = {}
-        for s in self._spans:
+        for s in self._kept():
             seen.setdefault(s.context.trace_id, None)
         return list(seen)
 
     def trace(self, trace_id: str) -> Trace:
         """The :class:`Trace` for one id (empty if unknown)."""
-        return Trace(trace_id, [s for s in self._spans if s.context.trace_id == trace_id])
+        return Trace(trace_id, [s for s in self._kept() if s.context.trace_id == trace_id])
 
     def traces(self) -> list[Trace]:
         """All traces, in first-seen order."""
@@ -261,17 +287,13 @@ class Tracer:
         ids = self.trace_ids()
         return self.trace(ids[-1]) if ids else None
 
-    def clear(self) -> None:
-        """Drop recorded spans (open spans stay on the stack)."""
-        self._spans = [s for s in self._spans if s.end_time is None]
-
 
 class _SpanHandle:
     """Context manager closing one span (see :meth:`Tracer.span`)."""
 
     __slots__ = ("_tracer", "_span")
 
-    def __init__(self, tracer: Tracer, span: Span) -> None:
+    def __init__(self, tracer: Tracer | None, span: Span) -> None:
         self._tracer = tracer
         self._span = span
 
@@ -279,11 +301,13 @@ class _SpanHandle:
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        tracer = self._tracer
+        if tracer is None:  # the shared no-op handle: nothing to close
+            return False
         span = self._span
         if exc is not None:
             span.status = "error"
             span.error = f"{type(exc).__name__}: {exc}"
-        tracer = self._tracer
         span.end_time = tracer._world.now
         tracer._stack.pop()
         cap = tracer._capacity
@@ -293,3 +317,25 @@ class _SpanHandle:
         if len(tracer._handle_pool) < 64:
             tracer._handle_pool.append(self)
         return False
+
+
+class _DroppedFields(dict):
+    """The fields of the no-op handle's span: writes are dropped, so
+    nothing a caller attaches to an unrecorded span outlives its block."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        pass
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+
+#: What ``with tracer.span(...) as span`` binds on an unrecording tracer:
+#: one shared span with an empty trace id that keeps no fields.
+_NULL_SPAN = Span(context=TraceContext(trace_id="", span_id=""), name="",
+                  start_time=0.0, fields=_DroppedFields())
+
+# A real _SpanHandle, so wrappers of _SpanHandle.__exit__ still see every exit.
+_NULL_HANDLE = _SpanHandle(None, _NULL_SPAN)

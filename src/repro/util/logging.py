@@ -10,6 +10,11 @@ Events optionally carry the active trace context (``trace_id`` /
 ``span_id`` — see :mod:`repro.telemetry.trace`), so the flat log and the
 span tree cross-reference each other, and the whole log exports as JSON
 lines for offline analysis.
+
+A world keeps its events only at ``World(trace=True)``.  Otherwise its
+log publishes to subscribers (the Figure 1 usage collector) and keeps
+nothing, and every read raises
+:class:`~repro.errors.TelemetryNotRecordedError`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
+
+from repro.errors import TelemetryNotRecordedError
 
 #: category of the synthetic event recorded when a subscriber raises
 SUBSCRIBER_ERROR_CATEGORY = "telemetry.subscriber_error"
@@ -81,47 +88,46 @@ class EventLog:
     keeps only the newest ``capacity`` events (ring-buffer eviction) and
     counts what it dropped in :attr:`dropped_events`.  The default is
     unbounded, as before.
+
+    With ``record=False`` the log keeps no event at all: each one still
+    reaches every subscriber, but iteration, ``len``, :meth:`select`,
+    :meth:`count`, :meth:`last` and :meth:`to_jsonl` raise
+    :class:`~repro.errors.TelemetryNotRecordedError` rather than answer
+    as if nothing had happened.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
+    def __init__(self, capacity: int | None = None, record: bool = True) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self._events: deque[Event] = deque()
         self._capacity = capacity
         self._subscribers: list[Callable[[Event], None]] = []
+        self.recording = record
         self.dropped_events = 0
         self.subscriber_errors = 0
-
-    # -- capacity -----------------------------------------------------------
 
     @property
     def capacity(self) -> int | None:
         """Maximum retained events (None = unbounded)."""
         return self._capacity
 
-    def set_capacity(self, capacity: int | None) -> None:
-        """Change the retention bound, evicting oldest events if needed."""
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self._capacity = capacity
-        self._evict()
-
-    def _evict(self) -> None:
-        if self._capacity is None:
-            return
-        while len(self._events) > self._capacity:
-            self._events.popleft()
-            self.dropped_events += 1
-
     def _append(self, event: Event) -> None:
-        # inline single-step eviction: appends outnumber capacity changes
-        # by orders of magnitude, and at steady state exactly one event
+        if not self.recording:
+            return
+        # inline single-step eviction: at steady state exactly one event
         # falls off per append
         self._events.append(event)
         cap = self._capacity
         if cap is not None and len(self._events) > cap:
             self._events.popleft()
             self.dropped_events += 1
+
+    def _kept(self) -> deque[Event]:
+        if not self.recording:
+            raise TelemetryNotRecordedError(
+                "this world keeps no events; build it with World(trace=True) to read them"
+            )
+        return self._events
 
     # -- recording ----------------------------------------------------------
 
@@ -153,12 +159,13 @@ class EventLog:
         if not self._subscribers:
             # fast path: no publication, no isolation machinery — just the
             # ring append (inlined; steady state evicts exactly one)
-            events = self._events
-            events.append(ev)
-            cap = self._capacity
-            if cap is not None and len(events) > cap:
-                events.popleft()
-                self.dropped_events += 1
+            if self.recording:
+                events = self._events
+                events.append(ev)
+                cap = self._capacity
+                if cap is not None and len(events) > cap:
+                    events.popleft()
+                    self.dropped_events += 1
             return ev
         self._append(ev)
         for sub in list(self._subscribers):
@@ -194,15 +201,15 @@ class EventLog:
             pass
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._kept())
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return iter(self._kept())
 
     def select(self, category: str | None = None, **field_filters: Any) -> list[Event]:
         """Events whose category starts with ``category`` and whose fields match."""
         out = []
-        for ev in self._events:
+        for ev in self._kept():
             if category is not None and not ev.category.startswith(category):
                 continue
             if any(ev.fields.get(k) != v for k, v in field_filters.items()):
@@ -231,7 +238,7 @@ class EventLog:
         Non-JSON field values are stringified rather than erroring, so a
         log holding rich objects still exports.
         """
-        events = self.select(category) if category is not None else list(self._events)
+        events = self.select(category) if category is not None else list(self._kept())
         return "\n".join(
             json.dumps(ev.to_dict(), sort_keys=True, default=str) for ev in events
         )

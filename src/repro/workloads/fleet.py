@@ -176,7 +176,7 @@ class FleetTransferScenario:
     def __init__(self, config: FleetWorkloadConfig | None = None) -> None:
         self.config = config or FleetWorkloadConfig()
         cfg = self.config
-        self.world = World(seed=cfg.seed, event_capacity=4096, span_capacity=4096)
+        self.world = World(seed=cfg.seed)
         net = self.world.network
         net.add_host("dtn-src", nic_bps=gbps(10))
         net.add_host("dtn-dst", nic_bps=gbps(10))

@@ -21,6 +21,7 @@ def topo(world):
 # -- FTP -------------------------------------------------------------------
 
 
+@pytest.mark.traced
 def test_ftp_fetch_and_cleartext_exposure(topo):
     world, link = topo
     ftp = PlainFtpTool(world, "client")

@@ -61,6 +61,7 @@ def test_ssh_user_requires_local_account(lite_env):
         lite.add_ssh_user("ghost", "pw")
 
 
+@pytest.mark.traced
 def test_limitation1_no_data_channel_security(lite_env):
     """'First, the data channel has no security.'"""
     world, lite, fs = lite_env
@@ -86,6 +87,7 @@ def test_limitation2_no_delegation(lite_env):
         session.delegate()
 
 
+@pytest.mark.traced
 def test_limitation3_insecure_striped_internal_channel(lite_env):
     """'no security exists on the communication channel between the
     control node and the data mover node'"""

@@ -8,6 +8,9 @@ Two site styles are provided:
 
 ``two_domain_world`` wires two sites with *disjoint* trust roots plus a
 client laptop and a SaaS host — the Figure 4/5/6 topology.
+
+Fixture worlds keep no spans or events (``World(trace=False)``); a test
+that reads them asks with ``@pytest.mark.traced``.
 """
 
 from __future__ import annotations
@@ -44,10 +47,15 @@ from repro.storage.posix import PosixStorage
 from repro.util.units import gbps, mbps
 
 
+def traced(request: pytest.FixtureRequest) -> bool:
+    """Whether the requesting test is marked ``@pytest.mark.traced``."""
+    return request.node.get_closest_marker("traced") is not None
+
+
 @pytest.fixture
-def world() -> World:
+def world(request: pytest.FixtureRequest) -> World:
     """A fresh deterministic world."""
-    return World(seed=42)
+    return World(seed=42, trace=traced(request))
 
 
 @dataclass
@@ -184,9 +192,9 @@ class TwoDomains:
 
 
 @pytest.fixture
-def two_domain_world() -> TwoDomains:
+def two_domain_world(request: pytest.FixtureRequest) -> TwoDomains:
     """Two conventional sites with disjoint CAs, a laptop, a SaaS host."""
-    world = World(seed=1234)
+    world = World(seed=1234, trace=traced(request))
     net = world.network
     net.add_host("dtn-a", nic_bps=gbps(10))
     net.add_host("dtn-b", nic_bps=gbps(10))

@@ -111,6 +111,7 @@ def test_console_cli_errors_and_help(booted):
         console.run("")
 
 
+@pytest.mark.traced
 def test_console_audit_log(booted):
     world, image, appliance = booted
     console = appliance.console

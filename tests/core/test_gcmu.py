@@ -33,6 +33,7 @@ def test_install_provisions_everything(gcmu):
     assert ep.server.authz.name == "gcmu-myproxy-dn"
 
 
+@pytest.mark.traced
 def test_figure3_full_workflow(gcmu):
     """Steps 1-5 of Figure 3, inline."""
     world, ep = gcmu

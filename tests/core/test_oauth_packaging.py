@@ -17,6 +17,7 @@ def net(world):
     return world
 
 
+@pytest.mark.traced
 def test_with_oauth_installs_and_registers(net):
     world = net
     from repro.auth import AccountDatabase, Control, LdapDirectory, LdapPamModule, PamStack

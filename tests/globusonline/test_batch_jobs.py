@@ -53,6 +53,7 @@ def test_batch_moves_every_file_intact(batch_world):
         assert data.read_all() == bytes([i % 256]) * FILE_SIZE
 
 
+@pytest.mark.traced
 def test_batch_autotunes_for_small_files(batch_world):
     world, go, ep_a, ep_b, user, pairs = batch_world
     job = go.submit_batch_transfer(user, "alcf#dtn", "nersc#dtn", pairs)
@@ -81,6 +82,7 @@ def test_batch_faster_than_sequential_single_jobs(batch_world):
     assert batch_elapsed < sequential_elapsed / 3
 
 
+@pytest.mark.traced
 def test_batch_cross_domain_uses_dcsc(batch_world):
     world, go, ep_a, ep_b, user, pairs = batch_world
     world.log.clear()

@@ -65,6 +65,7 @@ def test_synchronous_submission_unchanged(world):
     assert src.fingerprint() == dst.fingerprint()
 
 
+@pytest.mark.traced
 def test_activation_expiring_mid_queue_is_a_typed_failure(world):
     go, ep_a, _ = build(world)
     write_src(ep_a, "/home/alice/f.dat", 16 * MB)

@@ -54,6 +54,7 @@ def test_codes_unique(oauth_env):
     assert c1 != c2
 
 
+@pytest.mark.traced
 def test_exposure_names_site_not_third_party(oauth_env):
     world, myproxy, oauth = oauth_env
     world.log.clear()

@@ -67,6 +67,7 @@ def test_unactivated_endpoint(go_world):
         user.activation_for("alcf#dtn", world.now)
 
 
+@pytest.mark.traced
 def test_password_activation_exposes_to_go_and_site(go_world):
     """Figure 6 path: the password transits Globus Online."""
     world, go, ep_a, ep_b = go_world
@@ -77,6 +78,7 @@ def test_password_activation_exposes_to_go_and_site(go_world):
     assert parties == {"globusonline", "site:alcf"}
 
 
+@pytest.mark.traced
 def test_oauth_activation_exposes_to_site_only(go_world):
     """Figure 7 path: the password never touches the third party."""
     world, go, ep_a, ep_b = go_world

@@ -33,6 +33,7 @@ def go_world(world):
     return world, go, ep_a, ep_b, user, inter.link_id
 
 
+@pytest.mark.traced
 def test_job_succeeds_cross_domain_via_dcsc(go_world):
     """GO endpoints live in different CA domains; DCSC is automatic."""
     world, go, ep_a, ep_b, user, link = go_world
@@ -106,6 +107,7 @@ def test_job_ids_unique_and_tracked(go_world):
     assert go.job_status(j1.job_id) is JobStatus.SUCCEEDED
 
 
+@pytest.mark.traced
 def test_job_checksum_verified_flag(go_world):
     """The service CKSMs both endpoints after every successful job."""
     world, go, ep_a, ep_b, user, link = go_world

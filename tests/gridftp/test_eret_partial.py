@@ -44,6 +44,7 @@ def test_window_clipped_at_eof(loaded):
     assert res.nbytes == 100
 
 
+@pytest.mark.traced
 def test_partial_usage_recorded(loaded):
     world, site, client, session = loaded
     session.get_partial("/home/alice/big.bin", 0, 1000, "/tmp/u.bin")

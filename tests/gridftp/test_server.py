@@ -295,6 +295,7 @@ def test_adat_untrusted_credential_rejected(simple_pair):
     assert last_code(replies) == 535
 
 
+@pytest.mark.traced
 def test_usage_reporting_toggle(session):
     world, site, ss, cs = session
     from repro.gridftp.transfer import TransferResult

@@ -117,6 +117,7 @@ def test_striping_aggregates_bandwidth(cluster):
     assert striped_res.rate_bps > 2.5 * single_res.rate_bps
 
 
+@pytest.mark.traced
 def test_internal_messages_logged_with_security_flag(cluster):
     world, remote_site, striped, fs = cluster
     striped.dispatch_stripe_plan(["/home/alice/x"])
@@ -131,6 +132,7 @@ def test_internal_message_rejects_foreign_host(cluster):
         striped.internal_message("remote", "hello")
 
 
+@pytest.mark.traced
 def test_insecure_internal_channel_flag(cluster):
     world, remote_site, striped, fs = cluster
     insecure = StripedGridFTPServer(

@@ -51,8 +51,8 @@ POLICY = RetryPolicy(max_attempts=40, initial_backoff_s=2.0, multiplier=2.0,
                      max_backoff_s=60.0, jitter=0.1)
 
 
-def _build(seed):
-    world = World(seed=seed)
+def _build(seed, trace=False):
+    world = World(seed=seed, trace=trace)
     net = world.network
     net.add_host("dtn-a", nic_bps=gbps(10))
     net.add_host("dtn-b", nic_bps=gbps(10))
@@ -83,9 +83,9 @@ def _transfer(world, site_a, site_b):
     )
 
 
-def _run_campaign(seed, marker_corruption=0.0):
+def _run_campaign(seed, marker_corruption=0.0, trace=False):
     """Arm the chaos campaign and run the transfer; returns the evidence."""
-    world, site_a, site_b, data, inter = _build(seed)
+    world, site_a, site_b, data, inter = _build(seed, trace=trace)
     cfg = CAMPAIGN
     if marker_corruption:
         cfg = ChaosConfig(**{**CAMPAIGN.__dict__,
@@ -165,7 +165,7 @@ def test_no_byte_range_written_twice(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_recovery_telemetry_matches_the_faults(seed):
-    run = _run_campaign(seed)
+    run = _run_campaign(seed, trace=True)
     world, attempts = run["world"], run["attempts"]
     m = world.metrics
 

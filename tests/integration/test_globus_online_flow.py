@@ -62,6 +62,7 @@ def test_go_never_stores_password_but_holds_certificate(saas):
     assert "pwA" not in str(stored_fields)
 
 
+@pytest.mark.traced
 def test_figure7_oauth_end_to_end(saas):
     world, go, ep_a, ep_b, link = saas
     oauth_a = OAuthServer(world, "dtn-a", ep_a.myproxy, port=8443).start()

@@ -61,7 +61,7 @@ _CACHE: dict[int, dict] = {}
 
 
 def _run_campaign(seed):
-    world = World(seed=seed)
+    world = World(seed=seed, trace=True)
     net = world.network
     for h in ("dtn-a", "dtn-b", "saas"):
         net.add_host(h, nic_bps=gbps(10))

@@ -57,8 +57,8 @@ def _shard_hosts(shard):
             if i % N_SHARDS == shard]
 
 
-def _build(seed, crashes=True, shards=N_SHARDS):
-    world = World(seed=seed)
+def _build(seed, crashes=True, shards=N_SHARDS, trace=False):
+    world = World(seed=seed, trace=trace)
     net = world.network
     for h in ("dtn-a", "dtn-b", "saas"):
         net.add_host(h, nic_bps=gbps(10))
@@ -181,7 +181,7 @@ def test_sharded_soak_replays_bit_for_bit(seed):
 
 
 def test_sharded_metrics_and_flight_records_carry_shard():
-    world, go, ep_a, ep_b = _build(SEEDS[0], crashes=False)
+    world, go, ep_a, ep_b = _build(SEEDS[0], crashes=False, trace=True)
     recorder, _ = world.enable_observability()
     username = "user0"
     uid = ep_a.accounts.get(username).uid

@@ -70,6 +70,7 @@ def test_striped_to_striped_transfer(twin_clusters):
     assert out.read_all() == CONTENT
 
 
+@pytest.mark.traced
 def test_spas_spor_negotiation_visible(twin_clusters):
     world, site, east, east_fs, west, west_fs = twin_clusters
     uid = site.accounts.get("alice").uid

@@ -37,6 +37,7 @@ def test_username_embedded_in_dn(ca_env):
     assert cred.certificate.extensions["issued_by_service"] == "myproxy:alcf"
 
 
+@pytest.mark.traced
 def test_bad_password_rejected(ca_env):
     world, ldap, myproxy = ca_env
     with pytest.raises(PamError):

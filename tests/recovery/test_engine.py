@@ -12,11 +12,12 @@ from repro.gridftp.restart import ByteRangeSet
 from repro.recovery import CircuitBreaker, RecoveryEngine, RetryPolicy
 from repro.sim.faults import ChaosConfig
 from repro.sim.world import World
+from tests.conftest import traced
 
 
 @pytest.fixture
-def world():
-    return World(seed=7)
+def world(request):
+    return World(seed=7, trace=traced(request))
 
 
 def flaky(n_failures, marker_per_attempt=None, exc=TransferFaultError):
@@ -179,6 +180,7 @@ def test_on_failure_hook_sees_checkpoint(world):
     assert hooks == [("TransferFaultError", 1, [(0, 50)])]
 
 
+@pytest.mark.traced
 def test_span_names_are_configurable(world):
     engine = RecoveryEngine(world, RetryPolicy(max_attempts=3, initial_backoff_s=0.1),
                             loop_span_name="retry_loop", attempt_span_name="attempt")

@@ -118,6 +118,7 @@ def test_none_disables_every_knob(world):
 # -- rejection telemetry (observability) -----------------------------------
 
 
+@pytest.mark.traced
 def test_rejections_emit_events_and_stats(world, ctrl):
     with pytest.raises(QueueFullError):
         ctrl.admit(mk(), queue_depth=3, user_depth=0)

@@ -189,6 +189,7 @@ def test_config_validation():
 # -- observability wiring --------------------------------------------------
 
 
+@pytest.mark.traced
 def test_submit_stamps_trace_and_events_carry_it(world):
     sched = FleetScheduler(world, SchedulerConfig(
         workers=1, batch_threshold_bytes=0))
@@ -212,6 +213,7 @@ def test_submit_stamps_trace_and_events_carry_it(world):
     assert dispatch.trace_id != task.trace_id
 
 
+@pytest.mark.traced
 def test_queue_wait_histogram_captures_exemplars(world):
     sched = FleetScheduler(world, SchedulerConfig(
         workers=1, batch_threshold_bytes=0))

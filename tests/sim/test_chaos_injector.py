@@ -104,7 +104,7 @@ def test_durations_within_configured_range():
 
 
 def test_metrics_count_injected_faults():
-    world = _topology(World(seed=6))
+    world = _topology(World(seed=6, trace=True))
     world.chaos.configure(FULL)
     world.chaos.arm()
     counter = world.metrics.counter(

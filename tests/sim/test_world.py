@@ -4,7 +4,7 @@ from repro.sim.world import World
 
 
 def test_world_has_all_components():
-    w = World(seed=7)
+    w = World(seed=7, trace=True)
     assert w.clock.now == 0.0
     assert w.network is not None
     assert w.faults is not None
@@ -28,7 +28,7 @@ def test_advance_to_fires_scheduler():
 
 
 def test_emit_stamps_current_time():
-    w = World()
+    w = World(trace=True)
     w.advance(3.5)
     ev = w.emit("cat", "msg", k=1)
     assert ev.time == 3.5

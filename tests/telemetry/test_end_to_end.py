@@ -36,6 +36,7 @@ def faulted_transfer(two_domain_world):
     return d, big, res, attempts
 
 
+@pytest.mark.traced
 def test_single_trace_with_nested_retry_spans(faulted_transfer):
     d, big, res, attempts = faulted_transfer
     assert attempts == 2
@@ -87,6 +88,7 @@ def test_single_trace_with_nested_retry_spans(faulted_transfer):
     assert dc_ok.duration_s > 0
 
 
+@pytest.mark.traced
 def test_events_carry_the_trace_id(faulted_transfer):
     d, big, res, attempts = faulted_transfer
     (loop,) = [s for s in d.world.tracer.spans if s.name == "retry_loop"]
@@ -148,7 +150,7 @@ def test_myproxy_issuance_metric_and_span():
     from repro.util.units import gbps
     from tests.conftest import make_gcmu_site
 
-    world = World(seed=5)
+    world = World(seed=5, trace=True)
     world.network.add_host("gcmu-dtn", nic_bps=gbps(10))
     world.network.add_host("laptop", nic_bps=gbps(1))
     world.network.add_link("gcmu-dtn", "laptop", gbps(1), 0.01)

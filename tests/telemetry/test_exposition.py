@@ -124,7 +124,7 @@ def test_latest_observation_wins_the_bucket_exemplar():
 def test_full_world_under_load_conforms():
     from repro.scheduler import FleetScheduler, ScheduledTask, SchedulerConfig
 
-    world = World(seed=7)
+    world = World(seed=7, trace=True)
     world.enable_observability()
     sched = FleetScheduler(world, SchedulerConfig(
         workers=2, batch_threshold_bytes=0))

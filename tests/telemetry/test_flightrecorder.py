@@ -32,7 +32,7 @@ def _drain(world, n_tasks=6, **config):
 
 
 def test_records_assemble_full_lifecycle():
-    world = World(seed=7)
+    world = World(seed=7, trace=True)
     rec, _ = world.enable_observability()
     _drain(world)
     assert len(rec) == 6
@@ -61,7 +61,7 @@ def test_records_assemble_full_lifecycle():
 
 
 def test_exemplar_trace_resolves_to_record():
-    world = World(seed=7)
+    world = World(seed=7, trace=True)
     rec, _ = world.enable_observability()
     _drain(world)
     # every queue-wait exemplar must resolve through the recorder
@@ -76,7 +76,7 @@ def test_exemplar_trace_resolves_to_record():
 
 
 def test_queries_by_user_endpoint_and_slowness():
-    world = World(seed=7)
+    world = World(seed=7, trace=True)
     rec, _ = world.enable_observability()
     _drain(world)
     assert {r.task_id for r in rec.for_user("user0")} == {
@@ -135,7 +135,7 @@ def test_per_record_event_bound_counts_drops():
 
 
 def test_lease_expiry_flips_status_back_to_queued():
-    world = World(seed=11)
+    world = World(seed=11, trace=True)
     rec, _ = world.enable_observability()
     # the crash begins inside the first lease window, so the initial
     # claim is abandoned, the lease lapses, and the task requeues
@@ -154,7 +154,7 @@ def test_lease_expiry_flips_status_back_to_queued():
 
 
 def test_recovery_events_attach_via_dispatch_trace():
-    world = World(seed=5)
+    world = World(seed=5, trace=True)
     rec, _ = world.enable_observability()
     engine = RecoveryEngine(world, RetryPolicy(
         max_attempts=3, initial_backoff_s=1.0, jitter=0.0), component="test")
@@ -187,7 +187,7 @@ def test_recovery_events_attach_via_dispatch_trace():
 
 
 def test_rejections_land_in_side_channel():
-    world = World(seed=2)
+    world = World(seed=2, trace=True)
     rec, _ = world.enable_observability()
     from repro.errors import QueueFullError
     from repro.scheduler.limits import SchedulerLimits
@@ -204,7 +204,7 @@ def test_rejections_land_in_side_channel():
 
 
 def test_jsonl_dump_roundtrips(tmp_path):
-    world = World(seed=7)
+    world = World(seed=7, trace=True)
     rec, _ = world.enable_observability()
     _drain(world)
     path = tmp_path / "flight.jsonl"
@@ -223,7 +223,7 @@ def test_jsonl_dump_roundtrips(tmp_path):
 
 
 def test_detach_stops_recording_but_keeps_records():
-    world = World(seed=7)
+    world = World(seed=7, trace=True)
     rec, _ = world.enable_observability()
     _drain(world, n_tasks=2)
     assert len(rec) == 2
@@ -236,7 +236,7 @@ def test_detach_stops_recording_but_keeps_records():
 
 def test_determinism_across_identical_runs():
     def run():
-        world = World(seed=13)
+        world = World(seed=13, trace=True)
         rec, _ = world.enable_observability()
         _drain(world)
         return rec.to_jsonl()
@@ -245,7 +245,7 @@ def test_determinism_across_identical_runs():
 
 
 def test_enable_observability_is_idempotent():
-    world = World(seed=1)
+    world = World(seed=1, trace=True)
     pair1 = world.enable_observability()
     pair2 = world.enable_observability()
     assert pair1[0] is pair2[0]

@@ -40,7 +40,7 @@ def test_burn_rate_math():
 
 
 def test_alert_fires_only_when_all_windows_burn():
-    world = World(seed=1)
+    world = World(seed=1, trace=True)
     eng = _engine(world)
     # 9 bad of 9: far past threshold, but below min_events — no alert
     eng.record("probe", good=0, bad=9)
@@ -59,7 +59,7 @@ def test_alert_fires_only_when_all_windows_burn():
 
 
 def test_alert_clears_when_fast_window_recovers():
-    world = World(seed=1)
+    world = World(seed=1, trace=True)
     eng = _engine(world)
     eng.record("probe", bad=10)
     assert eng.alert_active("probe")
@@ -187,7 +187,7 @@ def test_wire_slos_tolerates_subset_of_objectives():
 
 def test_engine_is_deterministic_over_virtual_time():
     def run():
-        world = World(seed=9)
+        world = World(seed=9, trace=True)
         eng = _engine(world)
         for i in range(30):
             world.advance(7.0)

@@ -7,7 +7,7 @@ from repro.sim.world import World
 
 @pytest.fixture
 def fresh_world() -> World:
-    return World(seed=7)
+    return World(seed=7, trace=True)
 
 
 def test_span_outside_any_trace_starts_a_root(fresh_world):
@@ -94,12 +94,3 @@ def test_trace_find_and_render(fresh_world):
     text = trace.render()
     assert "job" in text
     assert text.count("attempt") == 2
-
-
-def test_tracer_clear_drops_closed_spans(fresh_world):
-    w = fresh_world
-    with w.span("one"):
-        pass
-    w.tracer.clear()
-    assert w.tracer.spans == []
-    assert w.tracer.traces() == []

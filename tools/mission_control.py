@@ -16,9 +16,9 @@ panels — per-request fan-out, per-bundle state-machine status, bundle
 counts by status, live component claims (``--archive`` in the demo
 runs a quick chaos campaign and renders its aftermath).
 
-Requires ``world.enable_observability()`` for the SLO and flight
-recorder panels; without it those panels report "not attached".  Run
-directly for a self-contained chaos demo:
+Requires ``world.enable_observability()``, on a ``World(trace=True)``,
+for the SLO and flight recorder panels; without it those panels report
+"not attached".  Run directly for a self-contained chaos demo:
 
     PYTHONPATH=src python tools/mission_control.py
     PYTHONPATH=src python tools/mission_control.py --seed 11 --top 5
@@ -208,7 +208,7 @@ def render(world, scheduler=None, breaker=None, catalog=None,
         ))
     else:
         sections.append("SLO engine: not attached "
-                        "(call world.enable_observability())")
+                        "(call world.enable_observability() on a World(trace=True))")
 
     recorder = getattr(world, "flight_recorder", None)
     if recorder is not None:
@@ -227,7 +227,7 @@ def render(world, scheduler=None, breaker=None, catalog=None,
         ))
     else:
         sections.append("flight recorder: not attached "
-                        "(call world.enable_observability())")
+                        "(call world.enable_observability() on a World(trace=True))")
 
     return "\n\n".join(sections)
 
@@ -239,7 +239,7 @@ def _demo(seed: int, top: int, shards: int | None = None) -> str:
     )
     from repro.sim.world import World
 
-    world = World(seed=seed)
+    world = World(seed=seed, trace=True)
     world.enable_observability(queue_wait_slo_s=120.0)
     world.faults.crash_host("wh-1", 60.0, 120.0)
     config = SchedulerConfig(
