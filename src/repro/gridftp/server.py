@@ -400,9 +400,12 @@ class GridFTPSession(ServerSession):
 
     def _cmd_sbuf(self, arg: str) -> list[str]:
         try:
-            self.tcp_window = int(arg)
+            window = int(arg)
         except ValueError:
             return [str(R.BAD_PARAMETER)]
+        if window <= 0:
+            return [str(R.BAD_PARAMETER)]
+        self.tcp_window = window
         return [str(R.COMMAND_OK)]
 
     def _cmd_rest(self, arg: str) -> list[str]:

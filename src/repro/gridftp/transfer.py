@@ -59,6 +59,8 @@ class TransferOptions:
             raise TransferError("parallelism must be >= 1")
         if self.concurrency < 1:
             raise TransferError("concurrency must be >= 1")
+        if self.tcp_window_bytes is not None and self.tcp_window_bytes < 0:
+            raise TransferError("tcp_window_bytes must be positive (None or 0: untuned)")
         if self.transport not in ("tcp", "udt"):
             raise TransferError(f"unknown transport {self.transport!r}")
 
@@ -157,13 +159,11 @@ class _TransferProfile:
     transfer is waste.  Cached values are the *identical* floats the
     inline computation produced — virtual-time outcomes cannot drift.
     Invalidation: the owning cache is keyed by the network's
-    ``topology_version``; the per-fault-plan view refreshes on the
-    plan's mutation ``epoch``.
+    ``topology_version``.
     """
 
     __slots__ = ("flows", "nstripes", "max_rtt", "stack", "stack_describe",
-                 "rate_bps", "links", "hosts", "setup_extra", "plan",
-                 "_fault_view")
+                 "rate_bps", "links", "hosts", "setup_extra", "plan")
 
     def __init__(self, engine: "TransferEngine", source: "SourceSpec",
                  sink: "SinkSpec", options: "TransferOptions") -> None:
@@ -188,27 +188,6 @@ class _TransferProfile:
                   for f in self.flows)
         )
         self.plan = ModeEPlan.plan(source.data.size, options.block_size, None)
-        self._fault_view: tuple | None = None
-
-    def fault_view(self, faults) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-        """(faulted links, faulted hosts, degraded links) on this route.
-
-        Subsets carrying any scheduled fault at all — resources outside
-        them can never change ``first_interruption`` or
-        ``bandwidth_factor``, so the common all-clean route skips both
-        scans entirely.  Cached per fault-plan epoch.
-        """
-        fv = self._fault_view
-        epoch = faults.epoch
-        if fv is None or fv[0] != epoch:
-            fv = (
-                epoch,
-                tuple(l for l in self.links if faults.has_link_faults(l)),
-                tuple(h for h in self.hosts if faults.has_host_faults(h)),
-                tuple(l for l in self.links if faults.has_degradations(l)),
-            )
-            self._fault_view = fv
-        return fv[1], fv[2], fv[3]
 
 
 class TransferEngine:
@@ -398,7 +377,7 @@ class TransferEngine:
             raise TransferError("zero achievable rate on every flow")
         # chaos degradation episodes slow the transfer without cutting it;
         # only links with any scheduled episode can change the factor
-        f_links, f_hosts, d_links = prof.fault_view(world.faults)
+        f_links, f_hosts, d_links = world.faults.faulted(prof.links, prof.hosts)
         degrade = (
             world.faults.bandwidth_factor(d_links, window_start) if d_links else 1.0
         )

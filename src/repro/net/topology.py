@@ -314,29 +314,11 @@ class Network:
 
     # -- fault awareness -----------------------------------------------------
 
-    @staticmethod
-    def _faulted_targets(stats: PathStats, faults) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The subset of the path's links/hosts with any scheduled fault.
-
-        Up-ness queries run per control-channel request, but most paths
-        never intersect the fault plan (chaos campaigns target specific
-        hosts); the filtered view is cached on the (frozen, per-pair
-        route-cached) ``PathStats`` and invalidated by the plan's
-        mutation epoch.
-        """
-        cached = stats.__dict__.get("_faulted_targets")
-        if cached is not None and cached[0] == faults.epoch:
-            return cached[1], cached[2]
-        links = tuple(lid for lid in stats.link_ids if faults.has_link_faults(lid))
-        hosts = tuple(h for h in stats.hosts if faults.has_host_faults(h))
-        object.__setattr__(stats, "_faulted_targets", (faults.epoch, links, hosts))
-        return links, hosts
-
     def path_up(self, stats: PathStats, t: float | None = None) -> bool:
         """True iff every link and host on the path is up at time ``t``."""
         t = self.world.now if t is None else t
         faults = self.world.faults
-        links, hosts = self._faulted_targets(stats, faults)
+        links, hosts, _ = faults.faulted(stats.link_ids, stats.hosts)
         if any(faults.link_down(lid, t) for lid in links):
             return False
         if any(faults.host_down(h, t) for h in hosts):
@@ -346,7 +328,7 @@ class Network:
     def check_path_up(self, stats: PathStats, t: float | None = None) -> None:
         """Raise :class:`~repro.errors.LinkDownError` if the path is down."""
         faults = self.world.faults
-        links, hosts = self._faulted_targets(stats, faults)
+        links, hosts, _ = faults.faulted(stats.link_ids, stats.hosts)
         if not links and not hosts:
             return
         t = self.world.now if t is None else t

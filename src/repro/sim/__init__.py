@@ -2,7 +2,7 @@
 
 from repro.sim.clock import Clock
 from repro.sim.events import ScheduledEvent, Scheduler
-from repro.sim.faults import FaultPlan, LinkFault, HostFault
+from repro.sim.faults import Fault, FaultPlan
 from repro.sim.random import RngFactory
 from repro.sim.world import World
 
@@ -10,9 +10,8 @@ __all__ = [
     "Clock",
     "Scheduler",
     "ScheduledEvent",
+    "Fault",
     "FaultPlan",
-    "LinkFault",
-    "HostFault",
     "RngFactory",
     "World",
 ]

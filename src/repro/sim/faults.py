@@ -4,11 +4,14 @@ The reliability claims in the paper — restart markers, Globus Online
 "restart the transfer from the last checkpoint" — only mean anything if
 things actually fail.  Two layers live here:
 
-* :class:`FaultPlan` holds *scheduled* faults: link outages, host
-  crash-restarts, bandwidth-degradation episodes, and control-channel
-  disconnects.  The transfer engine consults it to decide whether a
-  transfer window [start, end) is interrupted, and baselines consult it
-  the same way so comparisons are apples-to-apples.
+* :class:`FaultPlan` holds *scheduled* faults.  Each is one
+  :class:`Fault` record of one of four kinds: a link outage (``link``),
+  a host crash-restart (``host``), a control-channel disconnect
+  (``control``) or a bandwidth-degradation episode (``degradation``);
+  ``plan.faults(kind)`` lists them.  The transfer engine consults the
+  plan to decide whether a transfer window [start, end) is interrupted,
+  and baselines consult it the same way so comparisons are
+  apples-to-apples.
 
 * :class:`FaultInjector` (owned by every :class:`~repro.sim.world.World`
   as ``world.chaos``) generates *adversarial* fault schedules from the
@@ -29,6 +32,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
 
+#: the four fault kinds a plan schedules
+KINDS = ("link", "host", "control", "degradation")
+
 
 class _IntervalIndex:
     """Per-target interval lookup over scheduled faults.
@@ -48,10 +54,13 @@ class _IntervalIndex:
     # DTNs), so point queries for clean targets cost one dict hit.
 
     def __init__(self) -> None:
-        self._raw: dict[str, list] = {}
-        self._built: dict[str, tuple[list, list[float], list[float]] | None] = {}
+        self._raw: dict[str, list[Fault]] = {}
+        self._built: dict[str, tuple[list[Fault], list[float], list[float]] | None] = {}
 
-    def add(self, target: str, fault) -> None:
+    def __contains__(self, target: str) -> bool:
+        return target in self._raw
+
+    def add(self, target: str, fault: Fault) -> None:
         self._raw.setdefault(target, []).append(fault)
         self._built.pop(target, None)
 
@@ -59,7 +68,7 @@ class _IntervalIndex:
         self._raw.clear()
         self._built.clear()
 
-    def _entry(self, target: str) -> tuple[list, list[float], list[float]] | None:
+    def _entry(self, target: str) -> tuple[list[Fault], list[float], list[float]] | None:
         if target in self._built:
             return self._built[target]
         raw = self._raw.get(target)
@@ -88,7 +97,7 @@ class _IntervalIndex:
         i = bisect_right(starts, t)
         return i > 0 and prefix_end[i - 1] > t
 
-    def active(self, target: str, t: float) -> Iterator:
+    def active(self, target: str, t: float) -> Iterator[Fault]:
         """The target's intervals covering ``t`` (for min-factor scans).
 
         Walks backwards from the bisect point and stops as soon as the
@@ -118,90 +127,47 @@ class _IntervalIndex:
             return starts[i]
         return None
 
-    def windows(self, target: str) -> list[tuple[float, float]]:
-        """The target's (start, end) windows, sorted by onset."""
+    def clear_from(self, target: str, t: float) -> float:
+        """Earliest time >= ``t`` at which none of the target's intervals
+        is active.
+
+        While some interval covers ``t``, the one holding the prefix's
+        max end covers all of [t, that end), so jump there and bisect
+        again.
+        """
         entry = self._entry(target)
         if entry is None:
-            return []
-        faults, _, _ = entry
-        return [(f.start, f.end) for f in faults]
+            return t
+        _, starts, prefix_end = entry
+        i = bisect_right(starts, t)
+        while i > 0 and prefix_end[i - 1] > t:
+            t = prefix_end[i - 1]
+            i = bisect_right(starts, t, i)
+        return t
 
 
 @dataclass(frozen=True)
-class LinkFault:
-    """A link is down during [start, start+duration)."""
+class Fault:
+    """One scheduled fault: ``target`` is affected during [start, start+duration).
 
-    link_id: str
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        """End of the outage window (exclusive)."""
-        return self.start + self.duration
-
-    def active_at(self, t: float) -> bool:
-        """True if the fault is in effect at time ``t``."""
-        return self.start <= t < self.end
-
-
-@dataclass(frozen=True)
-class HostFault:
-    """A host (server crash / reboot) is down during [start, start+duration)."""
-
-    host: str
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        """End of the outage window (exclusive)."""
-        return self.start + self.duration
-
-    def active_at(self, t: float) -> bool:
-        """True if the fault is in effect at time ``t``."""
-        return self.start <= t < self.end
-
-
-@dataclass(frozen=True)
-class DegradationFault:
-    """A link runs at ``factor`` of its bandwidth during [start, start+duration).
-
-    Degradation does not interrupt transfers; it slows them.  ``factor``
-    is in (0, 1]: 0.25 means the link delivers a quarter of its rate.
+    ``kind`` says how (one of :data:`KINDS`): ``link`` — the link is
+    down; ``host`` — the host crashed and is rebooting; ``control`` —
+    the host's control plane is unreachable (a control-TCP disconnect or
+    listener restart: commands fail while data channels already in
+    flight keep moving); ``degradation`` — the link runs at ``factor``
+    of its bandwidth, in (0, 1], which slows transfers without
+    interrupting them.  ``factor`` is 1.0 for every other kind.
     """
 
-    link_id: str
+    kind: str
+    target: str
     start: float
     duration: float
-    factor: float
+    factor: float = 1.0
 
     @property
     def end(self) -> float:
-        """End of the episode (exclusive)."""
-        return self.start + self.duration
-
-    def active_at(self, t: float) -> bool:
-        """True if the episode is in effect at time ``t``."""
-        return self.start <= t < self.end
-
-
-@dataclass(frozen=True)
-class ControlChannelFault:
-    """A host's control plane is unreachable during [start, start+duration).
-
-    Models a control-TCP disconnect / listener restart: commands to (or
-    from) the host fail while data channels already in flight keep
-    moving.
-    """
-
-    host: str
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        """End of the disconnect window (exclusive)."""
+        """End of the fault window (exclusive)."""
         return self.start + self.duration
 
     def active_at(self, t: float) -> bool:
@@ -213,98 +179,99 @@ class FaultPlan:
     """The set of scheduled faults for a simulation run."""
 
     def __init__(self) -> None:
-        #: bumped on every mutation; callers may cache derived views
-        #: (e.g. "which targets on this path have faults at all") keyed
-        #: by this counter
-        self.epoch = 0
-        self._link_faults: list[LinkFault] = []
-        self._host_faults: list[HostFault] = []
-        self._degradations: list[DegradationFault] = []
-        self._control_faults: list[ControlChannelFault] = []
-        # per-target interval indexes: every query below is per-resource,
-        # so none of them should pay for faults on unrelated targets.
-        self._link_idx = _IntervalIndex()
-        self._host_idx = _IntervalIndex()
-        self._degrade_idx = _IntervalIndex()
-        self._control_idx = _IntervalIndex()
+        self._faults: list[Fault] = []
+        # one per-target interval index per kind: every query below is
+        # per-resource, so none of them should pay for faults on
+        # unrelated targets.
+        self._index = {kind: _IntervalIndex() for kind in KINDS}
+        # (link_ids, hosts) -> faulted(link_ids, hosts); every mutation clears it
+        self._faulted: dict[tuple, tuple] = {}
 
     # -- construction --------------------------------------------------------
 
-    def cut_link(self, link_id: str, at: float, duration: float) -> LinkFault:
-        """Schedule ``link_id`` to be down during [at, at+duration)."""
-        if duration <= 0:
+    def _add(self, fault: Fault) -> Fault:
+        if fault.duration <= 0:
             raise ValueError("fault duration must be positive")
-        fault = LinkFault(link_id=link_id, start=at, duration=duration)
-        self._link_faults.append(fault)
-        self._link_idx.add(link_id, fault)
-        self.epoch += 1
+        if not 0.0 < fault.factor <= 1.0:
+            raise ValueError("degradation factor must be in (0, 1]")
+        self._faults.append(fault)
+        self._index[fault.kind].add(fault.target, fault)
+        self._faulted.clear()
         return fault
 
-    def crash_host(self, host: str, at: float, duration: float) -> HostFault:
+    def cut_link(self, link_id: str, at: float, duration: float) -> Fault:
+        """Schedule ``link_id`` to be down during [at, at+duration)."""
+        return self._add(Fault("link", link_id, at, duration))
+
+    def crash_host(self, host: str, at: float, duration: float) -> Fault:
         """Schedule ``host`` to be down during [at, at+duration)."""
-        if duration <= 0:
-            raise ValueError("fault duration must be positive")
-        fault = HostFault(host=host, start=at, duration=duration)
-        self._host_faults.append(fault)
-        self._host_idx.add(host, fault)
-        self.epoch += 1
-        return fault
+        return self._add(Fault("host", host, at, duration))
 
     def degrade_link(
         self, link_id: str, at: float, duration: float, factor: float
-    ) -> DegradationFault:
+    ) -> Fault:
         """Schedule ``link_id`` to run at ``factor`` bandwidth during the window."""
-        if duration <= 0:
-            raise ValueError("fault duration must be positive")
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("degradation factor must be in (0, 1]")
-        fault = DegradationFault(link_id=link_id, start=at, duration=duration, factor=factor)
-        self._degradations.append(fault)
-        self._degrade_idx.add(link_id, fault)
-        self.epoch += 1
-        return fault
+        return self._add(Fault("degradation", link_id, at, duration, factor))
 
-    def drop_control(self, host: str, at: float, duration: float) -> ControlChannelFault:
+    def drop_control(self, host: str, at: float, duration: float) -> Fault:
         """Schedule ``host``'s control plane to be unreachable during the window."""
-        if duration <= 0:
-            raise ValueError("fault duration must be positive")
-        fault = ControlChannelFault(host=host, start=at, duration=duration)
-        self._control_faults.append(fault)
-        self._control_idx.add(host, fault)
-        self.epoch += 1
-        return fault
+        return self._add(Fault("control", host, at, duration))
 
     # -- queries --------------------------------------------------------------
 
     def link_down(self, link_id: str, t: float) -> bool:
         """Is ``link_id`` down at time ``t``?"""
-        return self._link_idx.covers(link_id, t)
+        return self._index["link"].covers(link_id, t)
 
     def host_down(self, host: str, t: float) -> bool:
         """Is ``host`` down at time ``t``?"""
-        return self._host_idx.covers(host, t)
+        return self._index["host"].covers(host, t)
 
     def has_link_faults(self, link_id: str) -> bool:
         """Does ``link_id`` have any scheduled down-window at all?"""
-        return link_id in self._link_idx._raw
+        return link_id in self._index["link"]
 
     def has_host_faults(self, host: str) -> bool:
         """Does ``host`` have any scheduled crash window at all?"""
-        return host in self._host_idx._raw
+        return host in self._index["host"]
 
     def has_degradations(self, link_id: str) -> bool:
         """Does ``link_id`` have any scheduled degradation episode at all?"""
-        return link_id in self._degrade_idx._raw
+        return link_id in self._index["degradation"]
 
     def control_down(self, host: str, t: float) -> bool:
         """Is ``host``'s control plane unreachable at time ``t``?"""
-        return self._control_idx.covers(host, t)
+        return self._index["control"].covers(host, t)
+
+    def faulted(
+        self, link_ids: tuple[str, ...], hosts: tuple[str, ...]
+    ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """(links with outages, hosts with crashes, links with degradations)
+        among the listed ones.
+
+        Up-ness checks run per control-channel request and fault scans per
+        transfer, but most routes carry no fault at all (chaos campaigns
+        target specific hosts), and resources outside these subsets can
+        never change ``link_down``, ``host_down``, ``first_interruption``
+        or ``bandwidth_factor``.  Memoized per route until the next
+        mutation.
+        """
+        key = (link_ids, hosts)
+        hit = self._faulted.get(key)
+        if hit is None:
+            hit = self._faulted[key] = (
+                tuple(l for l in link_ids if self.has_link_faults(l)),
+                tuple(h for h in hosts if self.has_host_faults(h)),
+                tuple(l for l in link_ids if self.has_degradations(l)),
+            )
+        return hit
 
     def bandwidth_factor(self, link_ids: Iterable[str], t: float) -> float:
         """Worst active degradation factor over the listed links (1.0 = clean)."""
+        index = self._index["degradation"]
         factor = 1.0
         for link_id in link_ids:
-            for f in self._degrade_idx.active(link_id, t):
+            for f in index.active(link_id, t):
                 factor = min(factor, f.factor)
         return factor
 
@@ -323,14 +290,12 @@ class FaultPlan:
         interrupt data flows and are not considered here.
         """
         best: float | None = None
-        for link_id in link_ids:
-            hit = self._link_idx.first_overlap(link_id, start, end)
-            if hit is not None and (best is None or hit < best):
-                best = hit
-        for host in hosts:
-            hit = self._host_idx.first_overlap(host, start, end)
-            if hit is not None and (best is None or hit < best):
-                best = hit
+        for idx, targets in ((self._index["link"], link_ids),
+                             (self._index["host"], hosts)):
+            for target in targets:
+                hit = idx.first_overlap(target, start, end)
+                if hit is not None and (best is None or hit < best):
+                    best = hit
         return best
 
     def endpoint_disrupted(
@@ -345,10 +310,11 @@ class FaultPlan:
         not survive either fault class, so a pooled channel whose idle
         window overlaps one must be discarded rather than reused.
         """
+        crashes, drops = self._index["host"], self._index["control"]
         for host in hosts:
-            if self._host_idx.first_overlap(host, start, end) is not None:
+            if crashes.first_overlap(host, start, end) is not None:
                 return True
-            if self._control_idx.first_overlap(host, start, end) is not None:
+            if drops.first_overlap(host, start, end) is not None:
                 return True
         return False
 
@@ -359,55 +325,35 @@ class FaultPlan:
 
         Control-channel drops on the listed hosts count as "not up":
         recovery loops wait them out along with link and host outages.
-        Iterates because outages may overlap or abut; bounded by the
-        number of faults scheduled on the listed resources.
+        Each target's index skips past its own covering windows; outages
+        on different targets may overlap or abut, so passes over the
+        targets repeat until one moves nothing.
         """
-        windows: list[tuple[float, float]] = []
-        for link_id in link_ids:
-            windows.extend(self._link_idx.windows(link_id))
+        index = self._index
+        targets = [(index["link"], link_id) for link_id in link_ids]
         for host in hosts:
-            windows.extend(self._host_idx.windows(host))
-            windows.extend(self._control_idx.windows(host))
-        changed = True
-        while changed:
-            changed = False
-            for start, end in windows:
-                if start <= t < end:
-                    t = end
-                    changed = True
-        return t
+            targets += ((index["host"], host), (index["control"], host))
+        while True:
+            before = t
+            for idx, target in targets:
+                t = idx.clear_from(target, t)
+            if t == before:
+                return t
 
-    @property
-    def link_faults(self) -> tuple[LinkFault, ...]:
-        """All scheduled link outages."""
-        return tuple(self._link_faults)
-
-    @property
-    def host_faults(self) -> tuple[HostFault, ...]:
-        """All scheduled host outages."""
-        return tuple(self._host_faults)
-
-    @property
-    def degradation_faults(self) -> tuple[DegradationFault, ...]:
-        """All scheduled bandwidth-degradation episodes."""
-        return tuple(self._degradations)
-
-    @property
-    def control_faults(self) -> tuple[ControlChannelFault, ...]:
-        """All scheduled control-channel disconnects."""
-        return tuple(self._control_faults)
+    def faults(self, kind: str | None = None) -> tuple[Fault, ...]:
+        """Every scheduled fault in scheduling order, or only those of ``kind``."""
+        if kind is None:
+            return tuple(self._faults)
+        if kind not in self._index:
+            raise ValueError(f"unknown fault kind {kind!r}; expected one of {KINDS}")
+        return tuple(f for f in self._faults if f.kind == kind)
 
     def clear(self) -> None:
         """Remove all scheduled faults."""
-        self.epoch += 1
-        self._link_faults.clear()
-        self._host_faults.clear()
-        self._degradations.clear()
-        self._control_faults.clear()
-        self._link_idx.clear()
-        self._host_idx.clear()
-        self._degrade_idx.clear()
-        self._control_idx.clear()
+        self._faults.clear()
+        for idx in self._index.values():
+            idx.clear()
+        self._faulted.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +399,14 @@ class ChaosConfig:
             raise ValueError("degrade_factor range must satisfy 0 < lo <= hi <= 1")
 
 
-@dataclass(frozen=True)
-class InjectedFault:
-    """One fault the injector placed into the plan (the replayable record)."""
-
-    kind: str  # "link_flap" | "degradation" | "host_crash" | "control_drop"
-    target: str
-    start: float
-    duration: float
-    param: float = 0.0  # degradation factor, otherwise 0
+# chaos's name for each fault kind: the keys of counts_by_kind() and the
+# ``kind`` label of its metric and ``chaos.armed`` event
+_CHAOS_LABELS = {
+    "link": "link_flap",
+    "degradation": "degradation",
+    "host": "host_crash",
+    "control": "control_drop",
+}
 
 
 class FaultInjector:
@@ -475,7 +420,7 @@ class FaultInjector:
     def __init__(self, world: "World", config: ChaosConfig | None = None) -> None:
         self.world = world
         self.config = config or ChaosConfig()
-        self._schedule: list[InjectedFault] = []
+        self._schedule: list[Fault] = []
         self._marker_rng = world.rng.python("chaos:marker")
 
     def configure(self, config: ChaosConfig) -> "FaultInjector":
@@ -484,8 +429,8 @@ class FaultInjector:
         return self
 
     @property
-    def schedule(self) -> tuple[InjectedFault, ...]:
-        """Every fault injected so far, in onset order."""
+    def schedule(self) -> tuple[Fault, ...]:
+        """Every fault injected so far, in onset order (the plan's own records)."""
         return tuple(self._schedule)
 
     @property
@@ -494,10 +439,12 @@ class FaultInjector:
         return len(self._schedule)
 
     def counts_by_kind(self) -> dict[str, int]:
-        """Injected fault totals per kind."""
+        """Injected fault totals per label: ``link_flap``, ``degradation``,
+        ``host_crash`` or ``control_drop``."""
         out: dict[str, int] = {}
         for f in self._schedule:
-            out[f.kind] = out.get(f.kind, 0) + 1
+            label = _CHAOS_LABELS[f.kind]
+            out[label] = out.get(label, 0) + 1
         return out
 
     # -- the campaign ---------------------------------------------------------
@@ -508,7 +455,7 @@ class FaultInjector:
         hosts: Iterable[str] | None = None,
         start: float | None = None,
         horizon_s: float | None = None,
-    ) -> tuple[InjectedFault, ...]:
+    ) -> tuple[Fault, ...]:
         """Generate the campaign and install it into ``world.faults``.
 
         ``links``/``hosts`` default to every link and every non-transit
@@ -527,49 +474,32 @@ class FaultInjector:
             )
         )
         plan = self.world.faults
-        new: list[InjectedFault] = []
-
-        if cfg.link_flap_every_s is not None:
-            for link_id in link_ids:
-                for at, dur in self._arrivals(
-                    f"flap:{link_id}", cfg.link_flap_every_s,
-                    cfg.link_flap_duration_s, t0, horizon,
-                ):
-                    plan.cut_link(link_id, at=at, duration=dur)
-                    new.append(InjectedFault("link_flap", link_id, at, dur))
-
-        if cfg.degrade_every_s is not None:
-            for link_id in link_ids:
-                rng = self.world.rng.python(f"chaos:degrade:{link_id}")
+        new: list[Fault] = []
+        for kind, stream, every_s, durations, targets in (
+            ("link", "flap", cfg.link_flap_every_s, cfg.link_flap_duration_s, link_ids),
+            ("degradation", "degrade", cfg.degrade_every_s, cfg.degrade_duration_s,
+             link_ids),
+            ("host", "crash", cfg.host_crash_every_s, cfg.host_downtime_s, host_names),
+            ("control", "ctrl", cfg.control_drop_every_s, cfg.control_drop_duration_s,
+             host_names),
+        ):
+            if every_s is None:
+                continue
+            for target in targets:
+                # per arrival: the Poisson gap, the duration, then (for
+                # degradations only) the factor
+                rng = self.world.rng.python(f"chaos:{stream}:{target}")
                 t = t0
                 while True:
-                    t += rng.expovariate(1.0 / cfg.degrade_every_s)
+                    t += rng.expovariate(1.0 / every_s)
                     if t >= t0 + horizon:
                         break
-                    dur = rng.uniform(*cfg.degrade_duration_s)
-                    factor = rng.uniform(*cfg.degrade_factor)
-                    plan.degrade_link(link_id, at=t, duration=dur, factor=factor)
-                    new.append(InjectedFault("degradation", link_id, t, dur, factor))
+                    dur = rng.uniform(*durations)
+                    factor = (rng.uniform(*cfg.degrade_factor)
+                              if kind == "degradation" else 1.0)
+                    new.append(plan._add(Fault(kind, target, t, dur, factor)))
 
-        if cfg.host_crash_every_s is not None:
-            for host in host_names:
-                for at, dur in self._arrivals(
-                    f"crash:{host}", cfg.host_crash_every_s,
-                    cfg.host_downtime_s, t0, horizon,
-                ):
-                    plan.crash_host(host, at=at, duration=dur)
-                    new.append(InjectedFault("host_crash", host, at, dur))
-
-        if cfg.control_drop_every_s is not None:
-            for host in host_names:
-                for at, dur in self._arrivals(
-                    f"ctrl:{host}", cfg.control_drop_every_s,
-                    cfg.control_drop_duration_s, t0, horizon,
-                ):
-                    plan.drop_control(host, at=at, duration=dur)
-                    new.append(InjectedFault("control_drop", host, at, dur))
-
-        new.sort(key=lambda f: (f.start, f.kind, f.target))
+        new.sort(key=lambda f: (f.start, _CHAOS_LABELS[f.kind], f.target))
         self._schedule.extend(new)
         injected = self.world.metrics.counter(
             "chaos_faults_injected_total",
@@ -577,32 +507,13 @@ class FaultInjector:
             labelnames=("kind",),
         )
         for f in new:
-            injected.inc(kind=f.kind)
+            injected.inc(kind=_CHAOS_LABELS[f.kind])
         self.world.emit(
             "chaos.armed", "chaos campaign installed",
             faults=len(new), horizon_s=horizon,
             kinds=dict(sorted(self.counts_by_kind().items())),
         )
         return tuple(new)
-
-    def _arrivals(
-        self,
-        stream: str,
-        every_s: float,
-        duration_range: tuple[float, float],
-        t0: float,
-        horizon: float,
-    ) -> list[tuple[float, float]]:
-        """Poisson (onset, duration) pairs for one (class, target) stream."""
-        rng = self.world.rng.python(f"chaos:{stream}")
-        out: list[tuple[float, float]] = []
-        t = t0
-        while True:
-            t += rng.expovariate(1.0 / every_s)
-            if t >= t0 + horizon:
-                break
-            out.append((t, rng.uniform(*duration_range)))
-        return out
 
     # -- restart-marker corruption --------------------------------------------
 

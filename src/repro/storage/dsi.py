@@ -70,21 +70,12 @@ class WriteSink:
         """Ranges safely written so far — the restart marker content."""
         return self._partial.received.copy()
 
-    def write_block(self, offset: int, data: bytes) -> None:
-        """Store literal bytes at ``offset``."""
-        self._check_open()
-        self._partial.write_fragment(offset, data)
-
-    def write_synthetic_block(self, offset: int, length: int, source: SyntheticData) -> None:
-        """Record a block of synthetic content without materializing it."""
-        self.write_synthetic_range(offset, length, source)
-
     def write_range(self, offset: int, data: bytes) -> None:
-        """Store one contiguous literal range (bulk fast path).
+        """Store literal bytes at ``offset``: one block, or a contiguous
+        run of blocks as one fragment.
 
-        Identical sink state to writing the same span block by block:
-        one coalesced entry in :attr:`received`, the same promoted
-        bytes — just one fragment instead of dozens.
+        Either way :attr:`received` coalesces abutting ranges and the
+        promoted bytes are the same.
         """
         self._check_open()
         self._partial.write_fragment(offset, data)

@@ -121,7 +121,7 @@ def test_get_restart_moves_only_missing(loaded):
     world, site, client, session = loaded
     have = ByteRangeSet([(0, 6000)])
     sink = client.local_storage.open_write("/tmp/d.bin", 0, 10000)
-    sink.write_block(0, (b"ab" * 5000)[:6000])
+    sink.write_range(0, (b"ab" * 5000)[:6000])
     sink.close(complete=False)
     res = session.get("/home/alice/d.bin", "/tmp/d.bin", restart=have)
     assert res.nbytes == 4000  # only the complement moved

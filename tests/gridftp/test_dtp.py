@@ -63,7 +63,7 @@ def test_open_sink_round_trip(dtp):
     site, ss = dtp
     assert last_code(ss.handle("STOR /home/alice/out.bin")) == 150
     sink = ss.make_sink(ss.take_intent(), 3)
-    sink.write_block(0, b"abc")
+    sink.write_range(0, b"abc")
     sink.close(complete=True)
     # what the sink committed, the source half reads back
     assert last_code(ss.handle("RETR /home/alice/out.bin")) == 150

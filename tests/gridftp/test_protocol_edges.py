@@ -26,7 +26,7 @@ def test_esto_append_at_offset(loaded):
     assert ss.handle("ESTO A 0 /home/alice/up.bin")[0].startswith("150")
     intent = ss.take_intent()
     sink = ss.make_sink(intent, 4)
-    sink.write_block(0, b"abcd")
+    sink.write_range(0, b"abcd")
     sink.close(complete=True)
     uid = site.accounts.get("alice").uid
     assert site.storage.open_read("/home/alice/up.bin", uid).read_all() == b"abcd"

@@ -94,6 +94,9 @@ def test_sbuf(session):
     assert last_code(ss.handle("SBUF 4194304")) == 200
     assert ss.tcp_window == 4194304
     assert last_code(ss.handle("SBUF big")) == 501
+    assert last_code(ss.handle("SBUF -5")) == 501
+    assert last_code(ss.handle("SBUF 0")) == 501
+    assert ss.tcp_window == 4194304
 
 
 def test_pwd_cwd(session):
@@ -201,7 +204,7 @@ def test_stor_creates_intent(session):
     intent = ss.take_intent()
     assert intent.direction == "recv"
     sink = ss.make_sink(intent, 10)
-    sink.write_block(0, b"0123456789")
+    sink.write_range(0, b"0123456789")
     sink.close(complete=True)
     uid = site.accounts.get("alice").uid
     assert site.storage.open_read("/home/alice/up.bin", uid).read_all() == b"0123456789"

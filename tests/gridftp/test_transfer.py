@@ -111,6 +111,11 @@ def test_invalid_options():
         TransferOptions(transport="carrier-pigeon")
     with pytest.raises(TransferError):
         TransferOptions(concurrency=0)
+    with pytest.raises(TransferError):
+        TransferOptions(tcp_window_bytes=-5)
+    # None and 0 both mean "untuned"
+    assert (TransferOptions(tcp_window_bytes=0).build_stack().describe()
+            == TransferOptions().build_stack().describe())
 
 
 def test_restart_needed_ranges_only(env):
@@ -122,7 +127,7 @@ def test_restart_needed_ranges_only(env):
     src_fs.write_file("/data/f", data)
     # first: receive only [0, 60000)
     sink = dst_fs.open_write("/data/f", 0, data.size)
-    sink.write_block(0, content[:60000])
+    sink.write_range(0, content[:60000])
     sink.close(complete=False)
     needed = ByteRangeSet([(60000, data.size)])
     res = run(world, src_fs, dst_fs, data, needed=needed, resume=True)

@@ -50,9 +50,9 @@ def _old_write(sink, data, block_size, needed, limit):
         if limit is not None and spent + block.size > limit:
             return
         if block.synthetic is not None:
-            sink.write_synthetic_block(block.offset, block.size, block.synthetic)
+            sink.write_synthetic_range(block.offset, block.size, block.synthetic)
         else:
-            sink.write_block(block.offset, block.payload or b"")
+            sink.write_range(block.offset, block.payload or b"")
         spent += block.size
 
 

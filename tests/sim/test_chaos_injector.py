@@ -1,5 +1,8 @@
 """FaultInjector: seeded chaos campaigns are replayable and well-formed."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from repro.sim.faults import ChaosConfig, FaultInjector
@@ -62,14 +65,48 @@ def test_arm_installs_into_the_fault_plan():
     schedule = world.chaos.arm()
     counts = world.chaos.counts_by_kind()
     plan = world.faults
-    assert len(plan.link_faults) == counts.get("link_flap", 0)
-    assert len(plan.degradation_faults) == counts.get("degradation", 0)
-    assert len(plan.host_faults) == counts.get("host_crash", 0)
-    assert len(plan.control_faults) == counts.get("control_drop", 0)
+    assert len(plan.faults("link")) == counts.get("link_flap", 0)
+    assert len(plan.faults("degradation")) == counts.get("degradation", 0)
+    assert len(plan.faults("host")) == counts.get("host_crash", 0)
+    assert len(plan.faults("control")) == counts.get("control_drop", 0)
     assert sum(counts.values()) == len(schedule) == world.chaos.fault_count
     # schedule is sorted by onset
     starts = [f.start for f in schedule]
     assert starts == sorted(starts)
+
+
+#: chaos label per fault kind, as counts_by_kind() and the metrics name them
+_LABELS = {"link": "link_flap", "degradation": "degradation",
+           "host": "host_crash", "control": "control_drop"}
+
+
+def test_full_campaign_is_pinned():
+    """The FULL campaign at seed 77, hashed over label, target, start,
+    duration and (degradations only) factor: any change to a stream
+    name, the per-arrival draw order or the onset sort shows here."""
+    world = _topology(World(seed=77))
+    world.chaos.configure(FULL)
+    schedule = world.chaos.arm()
+    h = hashlib.sha256()
+    for f in schedule:
+        fields = [_LABELS[f.kind], f.target, f.start.hex(), f.duration.hex()]
+        if f.kind == "degradation":
+            fields.append(f.factor.hex())
+        h.update(("|".join(fields) + "\n").encode())
+    assert len(schedule) == 45
+    assert h.hexdigest()[:16] == "c772a6af69c47d68"
+    assert world.chaos.counts_by_kind() == Counter(_LABELS[f.kind] for f in schedule)
+
+
+def test_schedule_holds_the_plans_own_records():
+    world = _topology(World(seed=10))
+    world.chaos.configure(FULL)
+    world.chaos.arm()
+    world.chaos.arm(start=600.0)
+    planned = {id(f) for f in world.faults.faults()}
+    assert world.chaos.schedule
+    assert all(id(f) in planned for f in world.chaos.schedule)
+    assert len(planned) == world.chaos.fault_count
 
 
 def test_host_faults_only_hit_non_transit_hosts():
@@ -90,7 +127,7 @@ def test_degradation_factor_within_configured_range():
                                       horizon_s=600.0))
     schedule = world.chaos.arm()
     assert schedule, "expected at least one episode at this rate"
-    assert all(0.3 <= f.param <= 0.5 for f in schedule)
+    assert all(0.3 <= f.factor <= 0.5 for f in schedule)
 
 
 def test_durations_within_configured_range():
@@ -117,7 +154,7 @@ def test_metrics_count_injected_faults():
 def test_default_config_is_quiet():
     world = _topology(World(seed=11))
     assert world.chaos.arm() == ()
-    assert world.faults.link_faults == ()
+    assert world.faults.faults() == ()
 
 
 def test_filter_marker_identity_without_corruption():

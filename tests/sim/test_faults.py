@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.faults import FaultPlan, LinkFault
+from repro.sim.faults import Fault, FaultPlan
 
 
 def test_link_down_window_is_half_open():
@@ -75,11 +75,53 @@ def test_clear_removes_all():
     plan.cut_link("l1", at=1.0, duration=1.0)
     plan.crash_host("h", at=1.0, duration=1.0)
     plan.clear()
-    assert plan.link_faults == ()
-    assert plan.host_faults == ()
+    assert plan.faults() == ()
+    assert plan.faults("link") == plan.faults("host") == ()
 
 
 def test_link_fault_accessors():
-    f = LinkFault(link_id="x", start=3.0, duration=2.0)
+    f = Fault("link", "x", start=3.0, duration=2.0)
     assert f.end == 5.0
     assert f.active_at(3.0) and f.active_at(4.9) and not f.active_at(5.0)
+
+
+def test_constructors_record_kind_target_and_factor():
+    plan = FaultPlan()
+    cut = plan.cut_link("l1", at=1.0, duration=2.0)
+    crash = plan.crash_host("h", at=2.0, duration=1.0)
+    drop = plan.drop_control("h", at=3.0, duration=1.0)
+    slow = plan.degrade_link("l1", at=4.0, duration=5.0, factor=0.25)
+    assert cut == Fault("link", "l1", 1.0, 2.0)
+    assert crash == Fault("host", "h", 2.0, 1.0)
+    assert drop == Fault("control", "h", 3.0, 1.0)
+    assert slow == Fault("degradation", "l1", 4.0, 5.0, 0.25)
+    assert cut.factor == crash.factor == drop.factor == 1.0
+    assert plan.faults() == (cut, crash, drop, slow)
+    assert plan.faults("host") == (crash,)
+    assert plan.faults("degradation") == (slow,)
+    with pytest.raises(ValueError):
+        plan.faults("link_flap")  # a chaos label, not a fault kind
+
+
+def test_bad_degradation_factor_rejected():
+    plan = FaultPlan()
+    for factor in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            plan.degrade_link("l1", at=0.0, duration=1.0, factor=factor)
+    assert plan.faults() == ()
+
+
+def test_faulted_filters_the_route_and_follows_every_mutation():
+    plan = FaultPlan()
+    route = (("l1", "l2"), ("a", "r", "b"))
+    assert plan.faulted(*route) == ((), (), ())
+    plan.cut_link("l1", at=5.0, duration=1.0)
+    assert plan.faulted(*route) == (("l1",), (), ())
+    plan.crash_host("b", at=5.0, duration=1.0)
+    plan.drop_control("a", at=5.0, duration=1.0)  # not a host outage
+    assert plan.faulted(*route) == (("l1",), ("b",), ())
+    plan.degrade_link("l2", at=5.0, duration=1.0, factor=0.5)
+    assert plan.faulted(*route) == (("l1",), ("b",), ("l2",))
+    assert plan.faulted(("l3",), ("c",)) == ((), (), ())
+    plan.clear()
+    assert plan.faulted(*route) == ((), (), ())

@@ -52,7 +52,7 @@ def test_evict_forces_restage(hpss):
 def test_fresh_writes_are_staged(hpss):
     clock, h = hpss
     sink = h.open_write("/archive/new.dat", 0, 3)
-    sink.write_block(0, b"abc")
+    sink.write_range(0, b"abc")
     sink.close(complete=True)
     assert h.is_staged("/archive/new.dat")
     t0 = clock.now
@@ -84,9 +84,9 @@ def test_rename_preserves_staged_state(hpss):
 def test_partial_resume_roundtrip(hpss):
     clock, h = hpss
     sink = h.open_write("/archive/up", 0, 6)
-    sink.write_block(0, b"abc")
+    sink.write_range(0, b"abc")
     sink.close(complete=False)
     sink2 = h.open_write("/archive/up", 0, 6, resume=True)
-    sink2.write_block(3, b"def")
+    sink2.write_range(3, b"def")
     sink2.close(complete=True)
     assert h.open_read("/archive/up", 0).read_all() == b"abcdef"

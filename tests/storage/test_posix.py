@@ -127,8 +127,8 @@ def test_rename_over_existing_rejected(fs):
 
 def test_write_sink_lifecycle(fs):
     sink = fs.open_write("/home/alice/up.bin", ALICE, expected_size=6)
-    sink.write_block(3, b"def")
-    sink.write_block(0, b"abc")
+    sink.write_range(3, b"def")
+    sink.write_range(0, b"abc")
     out = sink.close(complete=True)
     assert out.read_all() == b"abcdef"
     assert fs.open_read("/home/alice/up.bin", ALICE).read_all() == b"abcdef"
@@ -136,7 +136,7 @@ def test_write_sink_lifecycle(fs):
 
 def test_write_sink_partial_and_resume(fs):
     sink = fs.open_write("/home/alice/up.bin", ALICE, expected_size=6)
-    sink.write_block(0, b"abc")
+    sink.write_range(0, b"abc")
     sink.close(complete=False)
     # no committed content yet
     with pytest.raises(FileNotFoundStorageError):
@@ -145,7 +145,7 @@ def test_write_sink_partial_and_resume(fs):
     # resume and finish
     sink2 = fs.open_write("/home/alice/up.bin", ALICE, expected_size=6, resume=True)
     assert sink2.received.ranges == [(0, 3)]
-    sink2.write_block(3, b"def")
+    sink2.write_range(3, b"def")
     sink2.close(complete=True)
     assert fs.open_read("/home/alice/up.bin", ALICE).read_all() == b"abcdef"
     assert fs.partial_for("/home/alice/up.bin", ALICE) is None
@@ -153,10 +153,10 @@ def test_write_sink_partial_and_resume(fs):
 
 def test_sink_closed_rejects_writes(fs):
     sink = fs.open_write("/home/alice/f", ALICE, 3)
-    sink.write_block(0, b"abc")
+    sink.write_range(0, b"abc")
     sink.close(complete=True)
     with pytest.raises(StorageError):
-        sink.write_block(0, b"xyz")
+        sink.write_range(0, b"xyz")
 
 
 def test_checksum(fs):
