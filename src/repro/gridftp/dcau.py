@@ -48,7 +48,7 @@ class DCAUMode(enum.Enum):
             raise DCAUError(f"unknown DCAU mode {text!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataChannelSecurity:
     """One endpoint's contribution to data-channel authentication.
 
@@ -57,6 +57,9 @@ class DataChannelSecurity:
     ``extra_anchors``/``extra_intermediates`` are what it *accepts*
     (normally the endpoint's trusted-CA directory; DCSC adds the blob's
     certificates).  ``expected_identity`` backs mode A/S checks.
+
+    Frozen: a server session hands the same posture to every transfer
+    until its security state changes, so no caller may edit one.
     """
 
     mode: DCAUMode
@@ -134,20 +137,23 @@ def authenticate_data_channel(
 def _side_key(side: DataChannelSecurity) -> tuple:
     """Everything one endpoint contributes to the handshake outcome.
 
-    The trust store mutates in place, so its ``version`` is part of the
-    key: replaying DCAU under trust an operator has since revoked is
-    the hazard it guards.
+    The posture's own part is built once per (frozen) posture.  The
+    trust store mutates in place, so its ``uid`` and ``version`` are
+    read on every call: replaying DCAU under trust an operator has
+    since revoked is the hazard they guard.
     """
-    return (
-        side.mode,
-        side.credential.certificate.fingerprint() if side.credential else None,
-        side.trust.uid,
-        side.trust.version,
-        tuple(c.fingerprint() for c in side.extra_anchors),
-        tuple(c.fingerprint() for c in side.extra_intermediates),
-        str(side.expected_identity) if side.expected_identity else None,
-        str(side.expected_subject_override) if side.expected_subject_override else None,
-    )
+    posture = side.__dict__.get("_key_memo")
+    if posture is None:
+        posture = (
+            side.mode.value,
+            side.credential.certificate.fingerprint() if side.credential else None,
+            tuple(c.fingerprint() for c in side.extra_anchors),
+            tuple(c.fingerprint() for c in side.extra_intermediates),
+            str(side.expected_identity) if side.expected_identity else None,
+            str(side.expected_subject_override) if side.expected_subject_override else None,
+        )
+        object.__setattr__(side, "_key_memo", posture)
+    return (posture, side.trust.uid, side.trust.version)
 
 
 class DataChannelAuthCache:
@@ -165,6 +171,10 @@ class DataChannelAuthCache:
     presented, under unchanged trust stores (uid/version in the key).
     Failures always re-run, so error messages, DCSC mode mismatches and
     the Figure 4 trust miss behave exactly as uncached.
+
+    The key is both sides' :func:`_side_key`.  A server session reuses
+    one posture per security state, so a warm lookup rebuilds nothing
+    but two small tuples around the live trust-store stamps.
     """
 
     MAX_ENTRIES = 2048

@@ -15,6 +15,7 @@ through the transfer engine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -39,6 +40,7 @@ from repro.pki.validation import TrustStore, ValidationResult, validate_chain
 from repro.storage.data import FileData
 from repro.storage.dsi import DataStorageInterface, WriteSink
 from repro.util.encoding import b64decode_str, b64encode_str
+from repro.util.memo import Memo
 from repro.xio.drivers import Protection
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,6 +80,9 @@ class GridFTPServer(Service):
     """One Globus GridFTP server deployment."""
 
     DEFAULT_PORT = 2811
+    #: distinct DCSC blobs whose parse one server keeps; a Globus Online
+    #: storm sends one blob per activated user
+    DCSC_MEMO_ENTRIES = 256
 
     def __init__(
         self,
@@ -112,6 +117,8 @@ class GridFTPServer(Service):
         # control-channel command and usage record goes through these
         self._cmd_counters: dict[str, Any] = {}
         self._bytes_counters: dict[tuple[str, str], Any] = {}
+        #: blob digest -> parsed DcscContext (see repro.gridftp.dcsc)
+        self.dcsc_memo = Memo(f"dcsc.blob[{self.name}]", self.DCSC_MEMO_ENTRIES)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -198,6 +205,8 @@ class GridFTPSession(ServerSession):
         self.tcp_window: int | None = None
         self.restart: ByteRangeSet | None = None
         self.dcsc: DcscContext | None = None
+        # (inputs, posture) of the last data_channel_security() call
+        self._posture: tuple[tuple, DataChannelSecurity] | None = None
         # data channel negotiation
         self.passive_listeners: list[Listener] = []
         self.remote_ports: list[tuple[str, int]] = []
@@ -249,6 +258,7 @@ class GridFTPSession(ServerSession):
     def close(self) -> None:
         """Tear down per-connection state."""
         self._release_data_ports()
+        self._posture = None  # the server keeps closed sessions listed
         self.closed = True
 
     def reset_for_reuse(self) -> None:
@@ -428,7 +438,7 @@ class GridFTPSession(ServerSession):
         if ctx_type == "P":
             if len(parts) < 2:
                 return [str(R.BAD_PARAMETER)]
-            self.dcsc = decode_dcsc_blob(parts[1], self.world.now)
+            self.dcsc = decode_dcsc_blob(parts[1], self.world.now, self.server.dcsc_memo)
             self.world.emit("gridftp.dcsc", "context installed",
                             server=self.server.name,
                             subject=str(self.dcsc.credential.subject))
@@ -650,7 +660,18 @@ class GridFTPSession(ServerSession):
         credential, extend validation with the blob's certificates, and
         expect the blob's identity (paper Section V: "tell it to both
         send and accept the user credential used by the other server").
+
+        The posture is built once per session state: while every input
+        below is the same object as at the last call, that call's
+        (frozen) posture is returned.  The trust store is read live by
+        validation and by the DCAU cache key, so editing it needs no
+        new posture.
         """
+        inputs = (self.dcau_mode, self.dcau_subject, self.dcsc, self.delegated,
+                  self.peer, self.server.trust)
+        posture = self._posture
+        if posture is not None and all(map(operator.is_, inputs, posture[0])):
+            return posture[1]
         credential = self.delegated
         extra_anchors: tuple = ()
         extra_intermediates: tuple = ()
@@ -665,7 +686,7 @@ class GridFTPSession(ServerSession):
             expected = self.peer.identity
         elif self.dcau_mode is DCAUMode.SUBJECT:
             expected = self.dcau_subject
-        return DataChannelSecurity(
+        security = DataChannelSecurity(
             mode=self.dcau_mode,
             credential=credential,
             trust=self.server.trust,
@@ -675,6 +696,8 @@ class GridFTPSession(ServerSession):
             expected_subject_override=override,
             endpoint_name=self.server.name,
         )
+        self._posture = (inputs, security)
+        return security
 
 
 #: verb -> unbound handler, resolved once at import time (the

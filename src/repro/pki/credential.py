@@ -51,10 +51,17 @@ class Credential:
 
     @property
     def identity(self) -> DistinguishedName:
-        """The subject with proxy CN components stripped (the real user)."""
-        from repro.pki.proxy import strip_proxy_cns
+        """The subject with proxy CN components stripped (the real user).
 
-        return strip_proxy_cns(self.chain[0].subject)
+        Computed once per credential: every DCAU posture reads it.
+        """
+        cached = self.__dict__.get("_identity_memo")
+        if cached is None:
+            from repro.pki.proxy import strip_proxy_cns
+
+            cached = strip_proxy_cns(self.chain[0].subject)
+            object.__setattr__(self, "_identity_memo", cached)
+        return cached
 
     def valid_at(self, t: float) -> bool:
         """True iff every certificate in the chain is within its validity."""

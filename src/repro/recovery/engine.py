@@ -35,6 +35,8 @@ from repro.recovery.breaker import CircuitBreaker
 from repro.recovery.policy import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
+    import random
+
     from repro.sim.world import World
 
 
@@ -75,7 +77,9 @@ class RecoveryEngine:
         self.component = component
         self.loop_span_name = loop_span_name
         self.attempt_span_name = attempt_span_name
-        self._rng = world.rng.python(f"recovery:{component}")
+        # the jitter stream, derived at the first backoff: most loops
+        # never back off, and deriving it later draws the same values
+        self._rng: random.Random | None = None
         # resolve every instrument once: the loop body runs per attempt on
         # the fleet hot path, and registry lookups there are pure overhead
         self._attempts_c = self._counter(
@@ -203,6 +207,8 @@ class RecoveryEngine:
                     )
                     if attempt_no >= policy.max_attempts:
                         break
+                    if self._rng is None:
+                        self._rng = world.rng.python(f"recovery:{component}")
                     delay = policy.backoff_s(attempt_no, self._rng)
                     if (
                         policy.max_elapsed_s is not None

@@ -1,11 +1,12 @@
 """The session layer's one memo type and its one off switch.
 
 Every keyed memo in the session layer (key generation, the credential
-PEM round trip, certificate DER parsing, DCAU successes) is a
-:class:`Memo`: a bounded LRU map that counts its hits, misses and
-evictions.  Memos are wall-clock only: a hit must return exactly what
-the full computation would, so switching them off changes how fast the
-simulator reaches an outcome, never the outcome.
+PEM round trip, certificate DER parsing, DCAU successes, and each
+GridFTP server's DCSC blob parses) is a :class:`Memo`: a bounded LRU
+map that counts its hits, misses and evictions.  Memos are wall-clock
+only: a hit must return exactly what the full computation would, so
+switching them off changes how fast the simulator reaches an outcome,
+never the outcome.
 
 ``REPRO_NO_SESSION_CACHE`` (any non-empty value) switches every memo
 off, and the control-channel pool with them; :func:`enabled` is the one

@@ -58,6 +58,18 @@ def world(request: pytest.FixtureRequest) -> World:
     return World(seed=42, trace=traced(request))
 
 
+@pytest.fixture
+def cache_on(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Session caches on, even in a run under ``REPRO_NO_SESSION_CACHE``."""
+    monkeypatch.delenv("REPRO_NO_SESSION_CACHE", raising=False)
+
+
+@pytest.fixture
+def cache_off(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Session caches off (``REPRO_NO_SESSION_CACHE=1``) for one test."""
+    monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
+
+
 @dataclass
 class Site:
     """One deployed (conventional) GridFTP site for tests."""

@@ -1,4 +1,4 @@
-"""The DCSC blob format and its Section V.A rules."""
+"""The DCSC blob format, its Section V.A rules, and a server's parse memo."""
 
 import pytest
 
@@ -11,7 +11,8 @@ from repro.pki.proxy import create_proxy
 from repro.sim.clock import Clock
 from repro.sim.random import RngFactory
 from repro.util.encoding import is_printable_ascii
-from repro.util.units import DAY
+from repro.util.memo import Memo
+from repro.util.units import DAY, HOUR
 
 
 @pytest.fixture
@@ -69,3 +70,48 @@ def test_garbage_blob_rejected(env):
         decode_dcsc_blob("!!!not-base64!!!", clock.now)
     with pytest.raises(ProtocolError):
         decode_dcsc_blob("aGVsbG8gd29ybGQ=", clock.now)  # b64 of "hello world"
+
+
+# -- a server parses each distinct blob once --------------------------------
+
+
+def test_memo_hit_still_answers_501_once_the_leaf_expires(simple_pair, cache_on):
+    """The parse is reused; the Section V.A check still runs at ``now``."""
+    world, site, laptop = simple_pair
+    ss = site.client_for(world, "alice", laptop).connect(site.server).server_session
+    blob = encode_dcsc_blob(site.ca.issue_credential(DN.parse("/O=Lab/CN=ctx"), lifetime=HOUR))
+    assert ss.handle(f"DCSC P {blob}")[0].startswith("200")
+    world.advance(2 * HOUR)
+    reply = ss.handle(f"DCSC P {blob}")
+    assert site.server.dcsc_memo.stats()["hits"] == 1
+    with pytest.raises(ProtocolError) as fresh:
+        decode_dcsc_blob(blob, world.now)  # no memo: parsed from scratch
+    assert reply == [f"501 {fresh.value}"]
+    assert "not verifiable from the blob alone" in reply[0]
+
+
+def test_a_blob_one_character_off_is_a_miss(env, cache_on):
+    clock, rng, ca, user, proxy = env
+    memo = Memo("dcsc.blob", 4)
+    blob = encode_dcsc_blob(user)
+    first = decode_dcsc_blob(blob, clock.now, memo)
+    i = len(blob) // 2
+    tweaked = blob[:i] + ("B" if blob[i] == "A" else "A") + blob[i + 1:]
+    with pytest.raises(ProtocolError):
+        decode_dcsc_blob(tweaked, clock.now, memo)
+    assert decode_dcsc_blob(blob, clock.now, memo) is first
+    assert memo.stats() == {"hits": 1, "misses": 2, "evictions": 0, "live": 1}
+
+
+def test_servers_do_not_share_parses(two_domain_world, cache_on):
+    d = two_domain_world
+    blob = encode_dcsc_blob(d.site_a.user_credentials["alice"])
+    contexts = []
+    for site, user in ((d.site_a, "alice"), (d.site_b, "asmith")):
+        ss = site.client_for(d.world, user, d.laptop).connect(site.server).server_session
+        assert ss.handle(f"DCSC P {blob}")[0].startswith("200")
+        assert site.server.dcsc_memo.stats() == {
+            "hits": 0, "misses": 1, "evictions": 0, "live": 1,
+        }
+        contexts.append(ss.dcsc)
+    assert contexts[0] == contexts[1] and contexts[0] is not contexts[1]

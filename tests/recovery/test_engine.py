@@ -191,16 +191,25 @@ def test_span_names_are_configurable(world):
 
 
 def test_jitter_schedule_replays_per_seed():
-    def backoffs(seed):
+    def backoffs(seed, runs=1):
+        """Virtual seconds each of ``runs`` failing loops on one engine took."""
         w = World(seed=seed)
         engine = RecoveryEngine(w, RetryPolicy(max_attempts=4, initial_backoff_s=1.0))
-        t0 = w.now
-        with pytest.raises(TransferFaultError):
-            engine.run(flaky(99))
-        return w.now - t0
+        totals = []
+        for _ in range(runs):
+            t0 = w.now
+            with pytest.raises(TransferFaultError):
+                engine.run(flaky(99))
+            totals.append(w.now - t0)
+        return totals
 
-    assert backoffs(11) == backoffs(11)
-    assert backoffs(11) != backoffs(12)
+    # totals pinned from a stream derived at engine construction: one
+    # derived at the first backoff must draw the same, seed by seed
+    assert backoffs(11) == [7.31253063419077]
+    assert backoffs(12) == [7.243212367609638]
+    # a second failing loop on the same engine continues the stream
+    assert backoffs(11, runs=2) == [7.31253063419077, 7.159732477322855]
+    assert backoffs(12, runs=2) == [7.243212367609638, 7.3418504585434645]
 
 
 def test_garbled_marker_is_discarded_not_trusted(world):

@@ -4,9 +4,9 @@ The first half pins :class:`~repro.util.memo.Memo`'s mechanics: LRU
 order, the bound and its eviction count, the counters, the validity
 predicate, and :func:`~repro.util.memo.enabled` being read on every
 call.  The second half runs under ``REPRO_NO_SESSION_CACHE=1`` and
-checks that the switch reaches the caches that used to ignore it: the
-keygen memo, the credential and certificate parse memos, and the proxy
-a login delegates.
+checks that the switch reaches each cache: the keygen memo, the
+credential and certificate parse memos, a server's DCSC blob memo, and
+the proxy a login delegates.
 """
 
 import os
@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.gridftp.dcsc import decode_dcsc_blob, encode_dcsc_blob
 from repro.pki import rsa
 from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
@@ -23,16 +24,6 @@ from repro.util.encoding import pem_decode
 from repro.util.memo import MEMOS, Memo, enabled
 from repro.util.units import HOUR, gbps
 from tests.conftest import make_conventional_site
-
-
-@pytest.fixture
-def cache_on(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SESSION_CACHE", raising=False)
-
-
-@pytest.fixture
-def cache_off(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
 
 
 # -- Memo ----------------------------------------------------------------------
@@ -135,6 +126,15 @@ def test_switched_off_parse_memos_return_new_equal_objects(cache_off):
     _, der = pem_decode(cred.certificate.to_pem())
     first, second = Certificate.from_der(der), Certificate.from_der(der)
     assert first == second and first is not second
+
+
+def test_switched_off_dcsc_memo_parses_every_blob(cache_off):
+    world, site = _site()
+    blob = encode_dcsc_blob(site.user_credentials["alice"])
+    first = decode_dcsc_blob(blob, world.now, site.server.dcsc_memo)
+    second = decode_dcsc_blob(blob, world.now, site.server.dcsc_memo)
+    assert first == second and first is not second
+    assert len(site.server.dcsc_memo) == 0
 
 
 def test_switched_off_login_delegates_a_fresh_proxy(cache_off):
