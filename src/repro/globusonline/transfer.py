@@ -51,7 +51,7 @@ class JobStatus(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchTransferJob:
     """A multi-file (directory-style) transfer task.
 
@@ -75,7 +75,7 @@ class BatchTransferJob:
     needs_reactivation: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferJob:
     """One submitted transfer task."""
 

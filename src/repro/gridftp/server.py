@@ -109,7 +109,9 @@ class GridFTPServer(Service):
         self.dcsc_enabled = dcsc_enabled
         self.usage_reporting = usage_reporting
         self.name = name or f"gridftp@{host}"
-        self.sessions: list[GridFTPSession] = []
+        #: open sessions in the order they opened (a dict used as an
+        #: ordered set: a closing session leaves it in O(1))
+        self.sessions: dict[GridFTPSession, None] = {}
         self._listener: Listener | None = None
         #: stripe data-mover hosts; plain servers move data themselves
         self.dtp_hosts: tuple[str, ...] = (host,)
@@ -143,7 +145,7 @@ class GridFTPServer(Service):
     def open_session(self, client_host: str) -> "GridFTPSession":
         """Accept one connection (Service interface)."""
         session = GridFTPSession(self, client_host)
-        self.sessions.append(session)
+        self.sessions[session] = None
         return session
 
     # -- usage telemetry (Figure 1 pipeline) -----------------------------------
@@ -256,10 +258,10 @@ class GridFTPSession(ServerSession):
                 return [str(R.file_unavailable(cmd.arg or self.cwd, str(exc)))]
 
     def close(self) -> None:
-        """Tear down per-connection state."""
+        """Tear down per-connection state and leave the server's sessions."""
         self._release_data_ports()
-        self._posture = None  # the server keeps closed sessions listed
         self.closed = True
+        self.server.sessions.pop(self, None)
 
     def reset_for_reuse(self) -> None:
         """Restore just-logged-in defaults, keeping the security state.

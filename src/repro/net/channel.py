@@ -52,7 +52,7 @@ class ControlChannel:
 
     @property
     def path(self) -> "PathStats":
-        """The destination path of this sink."""
+        """The network path from the client host to the server's address."""
         assert self._path is not None
         return self._path
 

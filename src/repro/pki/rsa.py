@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 from repro.util import opcount
@@ -255,7 +256,26 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 #: login, so fleet runs request the identical (bits, state) pair
 #: thousands of times; replaying the memo — same keypair, same
 #: post-generation state — is bit-for-bit identical to regenerating.
+#: Both states are kept packed (see :func:`_packed_state`): the key holds
+#: the SHA-256 of the packed words, the entry the packed post-state, ~2.5
+#: KB instead of the ~25 KB a tuple of 625 Python ints takes.
 _KEYGEN_MEMO = Memo("rsa.keygen", 256)
+
+
+def _packed_state(rng: random.Random) -> tuple[int, bytes, float | None]:
+    """``rng.getstate()`` with its Mersenne Twister words packed as uint32.
+
+    ``(version, words, gauss_next)`` is everything ``setstate`` restores;
+    every word (624 state words and the index) fits in 32 bits.
+    """
+    version, words, gauss_next = rng.getstate()
+    return version, struct.pack(f"<{len(words)}I", *words), gauss_next
+
+
+def _restore_state(rng: random.Random, packed: tuple[int, bytes, float | None]) -> None:
+    """Set ``rng`` to a state packed by :func:`_packed_state`."""
+    version, words, gauss_next = packed
+    rng.setstate((version, struct.unpack(f"<{len(words) // 4}I", words), gauss_next))
 
 
 def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> KeyPair:
@@ -263,11 +283,12 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> KeyPa
     if bits < 64:
         raise ValueError("modulus must be at least 64 bits")
     rng = rng or random.Random()
-    memo_key = (bits, rng.getstate())
+    version, words, gauss_next = _packed_state(rng)
+    memo_key = (bits, version, hashlib.sha256(words).digest(), gauss_next)
     hit = _KEYGEN_MEMO.get(memo_key)
     if hit is not None:
         pair, post_state = hit
-        rng.setstate(post_state)
+        _restore_state(rng, post_state)
         opcount.bump("rsa.keygen.memo")
         return pair
     opcount.bump("rsa.keygen.full")
@@ -292,7 +313,7 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> KeyPa
         object.__setattr__(
             pair, "_crt", (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
         )
-        _KEYGEN_MEMO.put(memo_key, (pair, rng.getstate()))
+        _KEYGEN_MEMO.put(memo_key, (pair, _packed_state(rng)))
         return pair
 
 

@@ -45,7 +45,7 @@ class TaskState(enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledTask:
     """One unit of work the fleet scheduler dispatches.
 
@@ -53,6 +53,12 @@ class ScheduledTask:
     arbitrary result; the queue itself never calls it — workers do.
     ``size_hint`` feeds admission budgets and the fair-share charge
     until the actual delivered byte count is known.
+
+    The four callables (``execute``, ``measure``, ``on_claim`` and
+    ``on_requeue``) hold what the work needs: for a Globus Online job,
+    the job, its user, its options and the service.  The fleet scheduler
+    sets them to None once the task is DONE, so a finished task keeps
+    its record only; a requeued task keeps them.
     """
 
     task_id: str
@@ -60,7 +66,7 @@ class ScheduledTask:
     src_endpoint: str
     dst_endpoint: str
     size_hint: int
-    execute: Callable[[], Any]
+    execute: Callable[[], Any] | None
     priority: int = 0
     submitted_at: float = 0.0
     claimed_at: float = 0.0
@@ -76,6 +82,7 @@ class ScheduledTask:
     #: sub-threshold tasks may fold into a batch unless this is False
     coalesce: bool = True
     #: callbacks the owning service uses to reflect state onto its jobs
+    #: (None once DONE, like ``execute`` and ``measure``)
     on_claim: Callable[["ScheduledTask"], None] | None = None
     on_requeue: Callable[["ScheduledTask"], None] | None = None
     #: extracts actual delivered bytes from ``execute``'s result; the

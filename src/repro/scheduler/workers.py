@@ -465,6 +465,8 @@ class FleetScheduler:
                     delivered = task.size_hint
                     if task.measure is not None:
                         delivered = task.measure(result)
+                    task.execute = task.measure = None
+                    task.on_claim = task.on_requeue = None
                     task.delivered_bytes = delivered
                     self.queue.charge(task.user, delivered)
                     self._bytes_c.inc(delivered, user=task.user,

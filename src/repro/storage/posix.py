@@ -32,7 +32,20 @@ def split_path(path: str) -> list[str]:
     return [p for p in path.split("/") if p]
 
 
-@dataclass
+def _plain_cut(path: str) -> int:
+    """Where ``path`` splits into directory and name, if it is plain.
+
+    A plain path is ``/a/.../name``: below a directory other than the
+    root, no trailing or doubled slash.  Any other path gives 0: it takes
+    the full walk and is never cached.
+    """
+    cut = path.rfind("/")
+    if cut < len(path) - 1 and "//" not in path:
+        return max(cut, 0)
+    return 0
+
+
+@dataclass(slots=True)
 class _Node:
     name: str
     owner_uid: int
@@ -56,7 +69,7 @@ class PosixStorage(DataStorageInterface):
 
     name = "posix"
 
-    #: resolution caches reset past this size (bounds fleet-scale memory)
+    #: the directory cache resets past this many entries
     _CACHE_CAP = 131072
 
     def __init__(self, clock: Clock) -> None:
@@ -67,23 +80,49 @@ class PosixStorage(DataStorageInterface):
         # namespace version: bumped by any mutation that can change how a
         # path resolves or whether a walk is permitted (mkdir/delete/
         # rename/chmod/chown).  Adding *file content* under an existing
-        # name does not bump it — only successful resolutions are cached,
-        # so a new file simply misses until first resolved.
+        # directory does not bump it: files are looked up live in their
+        # directory's children, never cached.
         self._ns_version = 0
-        self._walk_cache: dict[tuple[str, int, bool], tuple[int, _Node]] = {}
-        self._parent_cache: dict[tuple[str, int], tuple[int, _Node, str]] = {}
+        # Directory cache: (directory path, uid, check_exec) -> (ns
+        # version, directory).  One entry per directory a uid walks
+        # through, however many files it holds: a file resolves with one
+        # children lookup in its cached directory, under the checks the
+        # last step of a full walk makes.  Only successful walks are
+        # cached, and only under plain paths (see _plain_cut).
+        self._dir_cache: dict[tuple[str, int, bool], tuple[int, _Node]] = {}
 
     def _bump_ns(self) -> None:
         self._ns_version += 1
 
     # -- traversal -------------------------------------------------------------
 
-    def _walk(self, path: str, uid: int, check_exec: bool = True) -> _Node:
-        key = (path, uid, check_exec)
-        hit = self._walk_cache.get(key)
+    def _cached_dir(self, path: str, uid: int, check_exec: bool) -> _Node | None:
+        """The directory a walk to ``path`` reached, if cached and current."""
+        hit = self._dir_cache.get((path, uid, check_exec))
         if hit is not None and hit[0] == self._ns_version:
             return hit[1]
-        node = self.root
+        return None
+
+    def _cache_dir(self, path: str, uid: int, check_exec: bool, node: _Node) -> None:
+        if len(self._dir_cache) > self._CACHE_CAP:
+            self._dir_cache.clear()
+        self._dir_cache[(path, uid, check_exec)] = (self._ns_version, node)
+
+    def _walk(self, path: str, uid: int, check_exec: bool = True) -> _Node:
+        cut = _plain_cut(path)
+        if cut:
+            parent = self._cached_dir(path[:cut], uid, check_exec)
+            if (
+                parent is not None
+                and parent.is_dir
+                and (not check_exec or parent.permits(uid, _X))
+            ):
+                child = parent.children.get(path[cut + 1:])
+                if child is not None:
+                    return child
+        # A miss, or a step that would fail: the full walk, which raises
+        # the error that belongs to the whole path.
+        parent = node = self.root
         for part in split_path(path):
             if not node.is_dir:
                 raise NotADirectoryStorageError(f"{node.name!r} is not a directory")
@@ -92,17 +131,17 @@ class PosixStorage(DataStorageInterface):
             child = node.children.get(part)
             if child is None:
                 raise FileNotFoundStorageError(f"no such path: {path!r}")
-            node = child
-        if len(self._walk_cache) > self._CACHE_CAP:
-            self._walk_cache.clear()
-        self._walk_cache[key] = (self._ns_version, node)
+            parent, node = node, child
+        if cut:
+            self._cache_dir(path[:cut], uid, check_exec, parent)
         return node
 
     def _walk_parent(self, path: str, uid: int) -> tuple[_Node, str]:
-        key = (path, uid)
-        hit = self._parent_cache.get(key)
-        if hit is not None and hit[0] == self._ns_version:
-            return hit[1], hit[2]
+        cut = _plain_cut(path)
+        if cut:
+            parent = self._cached_dir(path[:cut], uid, True)
+            if parent is not None:
+                return parent, path[cut + 1:]
         parts = split_path(path)
         if not parts:
             raise StorageError("cannot operate on the root directory")
@@ -110,9 +149,8 @@ class PosixStorage(DataStorageInterface):
         parent = self._walk(parent_path, uid)
         if not parent.is_dir:
             raise NotADirectoryStorageError(f"{parent_path!r} is not a directory")
-        if len(self._parent_cache) > self._CACHE_CAP:
-            self._parent_cache.clear()
-        self._parent_cache[key] = (self._ns_version, parent, parts[-1])
+        if len(parts) > 1:
+            self._cache_dir(parent_path, uid, True, parent)
         return parent, parts[-1]
 
     # -- DSI reads ----------------------------------------------------------------
@@ -257,6 +295,12 @@ class PosixStorage(DataStorageInterface):
         if not old_parent.permits(uid, _W):
             raise PermissionDeniedError(f"uid {uid} cannot move {old!r}")
         new_parent, new_name = self._walk_parent(new, uid)
+        # A directory moved under itself would hang below its own
+        # descendant, unreachable from the root (POSIX: EINVAL).  Paths
+        # name nodes one to one here, so "under" is a component prefix.
+        old_parts, new_parts = split_path(old), split_path(new)
+        if len(new_parts) > len(old_parts) and new_parts[: len(old_parts)] == old_parts:
+            raise StorageError(f"cannot move {old!r} into its own subtree {new!r}")
         if not new_parent.permits(uid, _W):
             raise PermissionDeniedError(f"uid {uid} cannot create {new!r}")
         if new_name in new_parent.children:

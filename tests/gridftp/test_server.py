@@ -123,6 +123,19 @@ def test_mkd_dele_rnfr_rnto(session):
     assert last_code(ss.handle("RNFR missing")) == 550
 
 
+def test_rnto_into_the_renamed_directory_is_refused(session):
+    """RNFR d + RNTO d/sub/x would hang d below its own descendant."""
+    world, site, ss, cs = session
+    uid = site.accounts.get("alice").uid
+    site.storage.makedirs("/home/alice/d/sub", uid)
+    site.storage.write_file("/home/alice/d/sub/f", b"x", uid=uid)
+    assert cs.channel.request("RNFR d")[-1].startswith("350")
+    reply = Reply.parse(cs.channel.request("RNTO d/sub/x")[-1])
+    assert reply.code == 550 and "own subtree" in reply.text
+    assert " d" in cs.channel.request("LIST")
+    assert cs.channel.request("SIZE d/sub/f") == ["213 1"]
+
+
 def test_size_and_mdtm(session):
     world, site, ss, cs = session
     assert ss.handle("SIZE /home/alice/data.bin")[0] == "213 1000"

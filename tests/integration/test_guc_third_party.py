@@ -50,15 +50,23 @@ def test_guc_server_to_server(same_domain_pair):
     assert site2.storage.open_read("/home/alice/f.bin", uid2).read_all() == b"guc" * 10_000
 
 
-def test_guc_closes_sessions_even_on_failure(same_domain_pair):
+def test_guc_closes_sessions_even_on_failure(same_domain_pair, monkeypatch):
     world, site1, site2 = same_domain_pair
     client = site1.client_for(world, "alice", "laptop")
     from repro.errors import ProtocolError
 
-    sessions_before = len(site1.server.sessions)
+    servers = (site1.server, site2.server)
+    open_before = [len(server.sessions) for server in servers]
+    opened = []
+    for server in servers:
+        def open_session(host, _open=server.open_session):
+            opened.append(_open(host))
+            return opened[-1]
+        monkeypatch.setattr(server, "open_session", open_session)
     with pytest.raises(ProtocolError):
         globus_url_copy(world, "gsiftp://dtn1:2811/home/alice/ghost.bin",
                         "gsiftp://dtn2:2811/home/alice/x.bin", client)
-    # the new sessions opened by the failed copy are closed again
-    new_sessions = site1.server.sessions[sessions_before:]
-    assert all(s.closed for s in new_sessions)
+    # the failed copy opened sessions and closed every one of them again;
+    # a server lists open sessions only, so its count is back where it was
+    assert opened and all(s.closed for s in opened)
+    assert [len(server.sessions) for server in servers] == open_before

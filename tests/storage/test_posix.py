@@ -170,3 +170,21 @@ def test_overwrite_replaces_content(fs):
     fs.write_file("/home/alice/f", b"old", uid=ALICE)
     fs.commit_file("/home/alice/f", ALICE, LiteralData(b"new"))
     assert fs.open_read("/home/alice/f", ALICE).read_all() == b"new"
+
+
+@pytest.mark.parametrize("new", ["/a/c", "/a/b/c", "/a/b"])
+def test_rename_into_own_subtree_rejected(fs, new):
+    fs.write_file("/a/b/f", b"x")
+    before = [(p, fs.listdir(p, 0)) for p in ("/", "/a", "/a/b")]
+    with pytest.raises(StorageError, match="into its own subtree"):
+        fs.rename("/a", new, 0)
+    assert [(p, fs.listdir(p, 0)) for p in ("/", "/a", "/a/b")] == before
+    assert fs.open_read("/a/b/f", 0).read_all() == b"x"
+
+
+def test_rename_next_to_itself_still_allowed(fs):
+    fs.write_file("/a/b/f", b"x")
+    fs.rename("/a", "/ab", 0)
+    assert fs.open_read("/ab/b/f", 0).read_all() == b"x"
+    fs.rename("/ab/b", "/b", 0)
+    assert fs.listdir("/", 0) == ["ab", "b", "home"]
