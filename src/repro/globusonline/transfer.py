@@ -315,13 +315,9 @@ def _run_batch_job(
         return job
     try:
         # pipelined SIZE sweep for auto-tuning (and early missing-file errors)
-        from repro.gridftp.replies import Reply, raise_for_reply
+        from repro.gridftp.replies import size_of
 
-        sizes = []
-        for lines in src_session.channel.pipeline(
-            [f"SIZE {sp}" for sp, _ in job.pairs]
-        ):
-            sizes.append(int(raise_for_reply(Reply.parse(lines[-1])).text))
+        sizes = [size_of(r) for r in src_session.pipeline([f"SIZE {sp}" for sp, _ in job.pairs])]
         opts = options
         if opts is None:
             path = world.network.path(
@@ -338,14 +334,8 @@ def _run_batch_job(
         src_session.port(addr)
 
         # pipeline the STOR/RETR pairs on their respective channels
-        for lines in dst_session.channel.pipeline(
-            [f"STOR {dp}" for _, dp in job.pairs]
-        ):
-            raise_for_reply(Reply.parse(lines[-1]))
-        for lines in src_session.channel.pipeline(
-            [f"RETR {sp}" for sp, _ in job.pairs]
-        ):
-            raise_for_reply(Reply.parse(lines[-1]))
+        dst_session.pipeline([f"STOR {dp}" for _, dp in job.pairs])
+        src_session.pipeline([f"RETR {sp}" for sp, _ in job.pairs])
 
         engine = src_session.client.engine
         k = max(1, opts.concurrency)

@@ -25,7 +25,7 @@ from repro.errors import (
     TransferError,
 )
 from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
-from repro.gridftp.replies import Reply, raise_for_reply
+from repro.gridftp.replies import Reply, final_reply, size_of, unparseable
 from repro.gridftp.restart import ByteRangeSet, format_restart_marker
 from repro.gridftp.server import GridFTPServer, GridFTPSession, TransferIntent
 from repro.gridftp.transfer import (
@@ -540,16 +540,18 @@ class ClientSession:
 
     def command(self, line: str) -> Reply:
         """Send one command; return the final reply (raise on 4xx/5xx)."""
-        lines = self.channel.request(line)
-        if not lines:
-            raise ProtocolError(f"no reply to {line!r}")
-        return raise_for_reply(Reply.parse(lines[-1]))
+        return final_reply(line, self.channel.request(line))
 
     def command_lines(self, line: str) -> list[str]:
         """Send one command; return every reply line (multiline replies)."""
         lines = self.channel.request(line)
-        raise_for_reply(Reply.parse(lines[-1]))
+        final_reply(line, lines)
         return lines
+
+    def pipeline(self, commands: list[str]) -> list[Reply]:
+        """Send commands back to back; their final replies (raise on 4xx/5xx)."""
+        batches = self.channel.pipeline(commands)
+        return [final_reply(command, lines) for command, lines in zip(commands, batches)]
 
     # -- the GSI handshake -------------------------------------------------------
 
@@ -628,8 +630,7 @@ class ClientSession:
                     setattr(server_session, attr, value)
                 self._options_applied = options
                 return
-        for lines in self.channel.pipeline(commands):
-            raise_for_reply(Reply.parse(lines[-1]))
+        self.pipeline(commands)
         self._options_applied = options
 
     def dcsc(self, blob_or_default: str) -> Reply:
@@ -643,7 +644,10 @@ class ClientSession:
     def pwd(self) -> str:
         """Current working directory (PWD)."""
         reply = self.command("PWD")
-        return reply.text.split('"')[1]
+        try:
+            return reply.text.split('"')[1]
+        except IndexError:
+            raise unparseable("PWD", str(reply)) from None
 
     def cwd(self, path: str) -> None:
         """Change working directory (CWD)."""
@@ -664,7 +668,7 @@ class ClientSession:
 
     def size(self, path: str) -> int:
         """Remote file size in bytes (SIZE)."""
-        return int(self.command(f"SIZE {path}").text)
+        return size_of(self.command(f"SIZE {path}"))
 
     def checksum(self, path: str, algorithm: str = "sha256") -> str:
         """Server-side checksum of a file (CKSM)."""
@@ -706,17 +710,20 @@ class ClientSession:
     def passive(self) -> tuple[str, int]:
         """PASV; returns the server's data address."""
         reply = self.command("PASV")
-        addr = reply.text.split("(", 1)[1].rstrip(")")
-        host, _, port_s = addr.rpartition(":")
-        return (host, int(port_s))
+        try:
+            return _address(reply.text.split("(", 1)[1].rstrip(")"))
+        except (IndexError, ValueError):
+            raise unparseable("PASV", str(reply)) from None
 
     def striped_passive(self) -> list[tuple[str, int]]:
         """SPAS; returns one data address per stripe."""
         lines = self.command_lines("SPAS")
         out: list[tuple[str, int]] = []
         for line in lines[1:-1]:
-            host, _, port_s = line.strip().rpartition(":")
-            out.append((host, int(port_s)))
+            try:
+                out.append(_address(line.strip()))
+            except ValueError:
+                raise unparseable("SPAS", line) from None
         return out
 
     def port(self, addr: tuple[str, int]) -> None:
@@ -882,7 +889,7 @@ class ClientSession:
         if options.pipelining:
             batches = self.channel.pipeline([f"RETR {r}" for r, _ in paths])
             for (remote, local), lines in zip(paths, batches):
-                raise_for_reply(Reply.parse(lines[-1]))
+                final_reply(f"RETR {remote}", lines)
                 intents.append((self.server_session.take_intent(), local))
         else:
             for remote, local in paths:
@@ -924,6 +931,12 @@ class ClientSession:
 def _user_arg(username: str | None) -> str:
     """The USER argument of a login: the account asked for, else the callout's choice."""
     return username if username is not None else ":globus-mapping:"
+
+
+def _address(text: str) -> tuple[str, int]:
+    """``(host, port)`` from ``"host:port"``; ValueError if the port is not an int."""
+    host, _, port_s = text.rpartition(":")
+    return (host, int(port_s))
 
 
 def _parse_cert_chain(pem_bytes: bytes) -> list[Certificate]:

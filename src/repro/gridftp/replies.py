@@ -101,3 +101,27 @@ def raise_for_reply(reply: Reply) -> Reply:
     if reply.is_error:
         raise ProtocolError(str(reply), code=reply.code)
     return reply
+
+
+def final_reply(command: str, lines: list[str]) -> Reply:
+    """The last line of the reply to ``command``; raise on 4xx/5xx or no line."""
+    if not lines:
+        raise ProtocolError(f"no reply to {command!r}")
+    return raise_for_reply(Reply.parse(lines[-1]))
+
+
+def unparseable(command: str, line: str) -> ProtocolError:
+    """The error for a reply line the client cannot parse.
+
+    A typed error fails only the job the reply arrived on; an
+    ``IndexError`` or ``ValueError`` would escape every job runner.
+    """
+    return ProtocolError(f"unparseable reply to {command}: {line!r}")
+
+
+def size_of(reply: Reply) -> int:
+    """The byte count a SIZE reply carries."""
+    try:
+        return int(reply.text)
+    except ValueError:
+        raise unparseable("SIZE", str(reply)) from None

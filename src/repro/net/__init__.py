@@ -2,7 +2,8 @@
 
 This package replaces the paper's physical testbed.  It provides:
 
-* :mod:`repro.net.topology` — hosts, links and routing (networkx graph);
+* :mod:`repro.net.topology` — hosts, links and minimum-latency routing
+  (a bidirectional Dijkstra with a fixed tie rule);
 * :mod:`repro.net.tcp` — a first-order TCP performance model (window
   limit, Mathis loss limit, slow-start ramp, parallel streams);
 * :mod:`repro.net.udt` — a rate-based UDT model (the XIO UDT driver);

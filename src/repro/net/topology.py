@@ -2,9 +2,9 @@
 
 The topology is an undirected graph of named hosts joined by links with a
 bandwidth (bits/s), a one-way latency (s) and a packet-loss probability.
-Routing picks the minimum-latency path.  :class:`PathStats` summarizes a
-path for the TCP/UDT models: round-trip time, bottleneck bandwidth
-(including the end-host NICs) and aggregate loss.
+Routing picks the minimum-latency path with a bidirectional Dijkstra.
+:class:`PathStats` summarizes a path for the TCP/UDT models: round-trip
+time, bottleneck bandwidth (including the end-host NICs) and aggregate loss.
 
 Hosts double as the attachment points for services (GridFTP servers,
 MyProxy CAs, OAuth servers) via :mod:`repro.net.sockets`.
@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
-
-from repro.errors import NetworkError, NoRouteError
+from repro.errors import LinkDownError, NetworkError, NoRouteError
 from repro.util.units import gbps
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,7 +113,10 @@ class Network:
 
     def __init__(self, world: "World") -> None:
         self.world = world
-        self._graph = nx.Graph()
+        # {host: {neighbour: Link}}, both in insertion order.  A second link
+        # between one pair replaces the first for routing (both stay in
+        # ``_links``) but keeps the first one's place among the neighbours.
+        self._adj: dict[str, dict[str, Link]] = {}
         self._hosts: dict[str, Host] = {}
         self._links: dict[str, Link] = {}
         self._link_seq = itertools.count(1)
@@ -157,7 +159,7 @@ class Network:
             raise NetworkError(f"host {name!r} already exists")
         host = Host(name=name, nic_bps=nic_bps, transit=transit, tags=dict(tags))
         self._hosts[name] = host
-        self._graph.add_node(name)
+        self._adj[name] = {}
         self.invalidate_routes()
         return host
 
@@ -195,7 +197,8 @@ class Network:
             loss=loss,
         )
         self._links[link_id] = link
-        self._graph.add_edge(a_name, b_name, link=link, weight=latency_s)
+        self._adj[a_name][b_name] = link
+        self._adj[b_name][a_name] = link
         self.invalidate_routes()
         return link
 
@@ -243,16 +246,10 @@ class Network:
         self._route_cache_misses += 1
         if src not in self._hosts or dst not in self._hosts:
             raise NetworkError(f"unknown host in route {src!r} -> {dst!r}")
-        allowed = {
-            name for name, host in self._hosts.items()
-            if host.transit or name in (src, dst)
-        }
-        view = self._graph.subgraph(allowed)
-        try:
-            nodes = nx.shortest_path(view, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise NoRouteError(f"no route from {src!r} to {dst!r}") from None
-        links = [self._graph.edges[u, v]["link"] for u, v in zip(nodes, nodes[1:])]
+        nodes = self._route(src, dst)
+        if nodes is None:
+            raise NoRouteError(f"no route from {src!r} to {dst!r}")
+        links = [self._adj[u][v] for u, v in zip(nodes, nodes[1:])]
         self._path_links_cache[(src, dst)] = tuple(links)
         return links
 
@@ -305,6 +302,53 @@ class Network:
         self._path_cache[(src_name, dst_name)] = stats
         return stats
 
+    def _route(self, src: str, dst: str) -> list[str] | None:
+        """The hosts of the minimum-latency route from src to dst, or None.
+
+        A bidirectional Dijkstra over the transit hosts plus both ends.  Its
+        tie rule is fixed (DESIGN §10): directions alternate starting
+        forward, each heap orders by (distance, push counter), neighbours
+        come in insertion order, and a host is relaxed, and the meeting host
+        moves, only on a strictly shorter distance.
+        """
+        adj, hosts = self._adj, self._hosts
+        done = ({}, {})
+        seen = ({src: 0}, {dst: 0})
+        preds = ({src: None}, {dst: None})
+        fringe = ([(0, 0, src)], [(0, 1, dst)])
+        counter = itertools.count(2)
+        best = meet = None
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, v = heappop(fringe[direction])
+            if v in done[direction]:
+                continue
+            done[direction][v] = dist
+            if v in done[1 - direction]:
+                forward, backward = [], []
+                node = meet
+                while node is not None:
+                    forward.append(node)
+                    node = preds[0][node]
+                node = preds[1][meet]
+                while node is not None:
+                    backward.append(node)
+                    node = preds[1][node]
+                return forward[::-1] + backward
+            near, far = seen[direction], seen[1 - direction]
+            for w, link in adj[v].items():
+                if w in done[direction] or not (hosts[w].transit or w == src or w == dst):
+                    continue
+                d = dist + link.latency_s
+                if w not in near or d < near[w]:
+                    near[w] = d
+                    heappush(fringe[direction], (d, next(counter), w))
+                    preds[direction][w] = v
+                    if w in far and (best is None or d + far[w] < best):
+                        best, meet = d + far[w], w
+        return None
+
     def _walk(self, start: str, links: Iterable[Link]):
         """Yield (current_host, link) pairs walking the path from start."""
         here = start
@@ -313,17 +357,6 @@ class Network:
             here = l.other_end(here)
 
     # -- fault awareness -----------------------------------------------------
-
-    def path_up(self, stats: PathStats, t: float | None = None) -> bool:
-        """True iff every link and host on the path is up at time ``t``."""
-        t = self.world.now if t is None else t
-        faults = self.world.faults
-        links, hosts, _ = faults.faulted(stats.link_ids, stats.hosts)
-        if any(faults.link_down(lid, t) for lid in links):
-            return False
-        if any(faults.host_down(h, t) for h in hosts):
-            return False
-        return True
 
     def check_path_up(self, stats: PathStats, t: float | None = None) -> None:
         """Raise :class:`~repro.errors.LinkDownError` if the path is down."""
@@ -334,13 +367,9 @@ class Network:
         t = self.world.now if t is None else t
         for lid in links:
             if faults.link_down(lid, t):
-                from repro.errors import LinkDownError
-
                 raise LinkDownError(f"link {lid} is down at t={t:.3f}", link=lid)
         for h in hosts:
             if faults.host_down(h, t):
-                from repro.errors import LinkDownError
-
                 raise LinkDownError(f"host {h} is down at t={t:.3f}", link=h)
 
     # -- ports -----------------------------------------------------------------

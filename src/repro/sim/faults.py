@@ -26,6 +26,7 @@ things actually fail.  Two layers live here:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -441,11 +442,7 @@ class FaultInjector:
     def counts_by_kind(self) -> dict[str, int]:
         """Injected fault totals per label: ``link_flap``, ``degradation``,
         ``host_crash`` or ``control_drop``."""
-        out: dict[str, int] = {}
-        for f in self._schedule:
-            label = _CHAOS_LABELS[f.kind]
-            out[label] = out.get(label, 0) + 1
-        return out
+        return dict(Counter(_CHAOS_LABELS[f.kind] for f in self._schedule))
 
     # -- the campaign ---------------------------------------------------------
 
@@ -506,8 +503,8 @@ class FaultInjector:
             "Faults placed into the plan by the chaos injector",
             labelnames=("kind",),
         )
-        for f in new:
-            injected.inc(kind=_CHAOS_LABELS[f.kind])
+        for label, n in Counter(_CHAOS_LABELS[f.kind] for f in new).items():
+            injected.inc(n, kind=label)
         self.world.emit(
             "chaos.armed", "chaos campaign installed",
             faults=len(new), horizon_s=horizon,

@@ -153,3 +153,22 @@ def test_mode_e_channel_reuse_cheaper_than_fresh(loaded):
     session.get("/home/alice/b.bin", "/tmp/fb.bin")
     individual = world.now - t0
     assert batched < individual
+
+
+def test_pwd_reply_without_quotes_is_a_protocol_error(loaded, monkeypatch):
+    from repro.gridftp import server as gridftp_server
+
+    world, site, client, session = loaded
+    monkeypatch.setitem(gridftp_server._HANDLERS, "PWD", lambda ss, arg: ["257 /home/alice"])
+    with pytest.raises(ProtocolError, match="unparseable reply to PWD: '257 /home/alice'"):
+        session.pwd()
+
+
+def test_spas_line_with_bad_port_is_a_protocol_error(loaded, monkeypatch):
+    from repro.gridftp import server as gridftp_server
+
+    world, site, client, session = loaded
+    lines = ["229-Entering Striped Passive Mode", " dtn:50001", " dtn:port", "229 End"]
+    monkeypatch.setitem(gridftp_server._HANDLERS, "SPAS", lambda ss, arg: lines)
+    with pytest.raises(ProtocolError, match="unparseable reply to SPAS: ' dtn:port'"):
+        session.striped_passive()

@@ -118,19 +118,47 @@ def test_no_route_raises(world):
         net.path("a", "island")
 
 
+def test_equal_latency_tie_takes_the_pinned_route(world):
+    # Two equal routes a-r1-b and a-r2-b.  The router searches from both
+    # ends and meets at b's first neighbour the forward search has seen,
+    # so a->b goes through r2 (b was linked to r2 first) and b->a through
+    # r1 (a was linked to r1 first).
+    net = world.network
+    net.add_host("a")
+    net.add_host("b")
+    net.add_router("r1")
+    net.add_router("r2")
+    for x, y in (("a", "r1"), ("a", "r2"), ("r2", "b"), ("r1", "b")):
+        net.add_link(x, y, gbps(1), 0.01)
+    assert net.path("a", "b").hosts == ("a", "r2", "b")
+    assert net.path("a", "b").link_ids == ("link2:a--r2", "link3:r2--b")
+    assert net.path("b", "a").hosts == ("b", "r1", "a")
+
+
+def test_second_link_between_a_pair_replaces_the_first_for_routing(world):
+    net = world.network
+    net.add_host("a")
+    net.add_host("b")
+    first = net.add_link("a", "b", gbps(10), 0.01)
+    second = net.add_link("a", "b", gbps(1), 0.05)
+    p = net.path("a", "b")
+    assert p.link_ids == (second.link_id,)
+    assert p.rtt_s == pytest.approx(0.1)
+    assert set(net.links) == {first.link_id, second.link_id}
+
+
 def test_path_up_and_fault_check(world):
     net = world.network
     net.add_host("a")
     net.add_host("b")
     link = net.add_link("a", "b", gbps(1), 0.01)
     p = net.path("a", "b")
-    assert net.path_up(p)
+    assert net.check_path_up(p) is None
     world.faults.cut_link(link.link_id, at=0.0, duration=10.0)
-    assert not net.path_up(p)
     with pytest.raises(LinkDownError):
         net.check_path_up(p)
     world.advance(10.0)
-    assert net.path_up(p)
+    assert net.check_path_up(p) is None
 
 
 def test_host_fault_downs_path(world):
@@ -140,7 +168,8 @@ def test_host_fault_downs_path(world):
     net.add_link("a", "b", gbps(1), 0.01)
     p = net.path("a", "b")
     world.faults.crash_host("b", at=0.0, duration=5.0)
-    assert not net.path_up(p)
+    with pytest.raises(LinkDownError):
+        net.check_path_up(p)
 
 
 def test_ephemeral_ports_unique(world):

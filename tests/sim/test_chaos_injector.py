@@ -151,6 +151,28 @@ def test_metrics_count_injected_faults():
     assert world.log.count("chaos.armed") == 1
 
 
+def test_injected_fault_counter_is_pinned():
+    """Two arms of the FULL campaign at seed 77: per-kind totals, their
+    exposition lines and both ``chaos.armed`` events, as first pinned."""
+    world = _topology(World(seed=77, trace=True))
+    world.chaos.configure(FULL)
+    world.chaos.arm()
+    world.chaos.arm(start=600.0)
+    counter = world.metrics.counter("chaos_faults_injected_total", labelnames=("kind",))
+    totals = {"control_drop": 30, "degradation": 26, "link_flap": 20, "host_crash": 14}
+    assert {kind: counter.value(kind=kind) for kind in totals} == totals
+    assert counter.total() == 90
+    assert [l for l in world.metrics.render_prometheus().splitlines()
+            if l.startswith("chaos_faults_injected_total")] == [
+        'chaos_faults_injected_total{kind="control_drop"} 30',
+        'chaos_faults_injected_total{kind="degradation"} 26',
+        'chaos_faults_injected_total{kind="host_crash"} 14',
+        'chaos_faults_injected_total{kind="link_flap"} 20',
+    ]
+    armed = [e.fields["kinds"] for e in world.log.select("chaos.armed")]
+    assert armed == [{k: n // 2 for k, n in sorted(totals.items())}, dict(sorted(totals.items()))]
+
+
 def test_default_config_is_quiet():
     world = _topology(World(seed=11))
     assert world.chaos.arm() == ()

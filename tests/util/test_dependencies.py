@@ -1,8 +1,8 @@
 """The package runs on its declared dependencies alone.
 
-numpy and sympy are not among them: importing every ``repro`` module in
-a fresh interpreter must leave both out of ``sys.modules``, whether or
-not they are installed.
+It declares none: importing every ``repro`` module in a fresh
+interpreter must leave numpy, sympy and networkx (the tests' routing
+reference) out of ``sys.modules``, whether or not they are installed.
 """
 
 import os
@@ -46,3 +46,7 @@ def test_importing_every_module_leaves_numpy_out(loaded_after_import_all):
 
 def test_importing_every_module_leaves_sympy_out(loaded_after_import_all):
     assert "sympy" not in loaded_after_import_all
+
+
+def test_importing_every_module_leaves_networkx_out(loaded_after_import_all):
+    assert "networkx" not in loaded_after_import_all
