@@ -278,9 +278,11 @@ def run_batch_job(
     concurrent file lanes.
 
     Auto-tunes from the whole dataset shape when ``options`` is None.
-    Fault handling is per-job (a mid-batch outage fails the job; resubmit
-    resumes cheaply because completed files simply re-verify) — the
-    single-file path owns checkpoint restart.
+    Fault handling is per-job: a mid-batch outage fails the job, and a
+    resubmitted job sends every file again.  Nothing is verified: a batch
+    sends no CKSM, so a file counts as done when the data channel
+    delivered it.  The single-file path owns checkpoint restart and
+    checksum verification.
     """
     with go.world.tracer.span(
         "globusonline.batch", job=job.job_id, files=len(job.pairs)

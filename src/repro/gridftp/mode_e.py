@@ -139,16 +139,6 @@ class ModeEPlan:
             object.__setattr__(self, "_total_bytes", cached)
         return cached
 
-    @property
-    def block_count(self) -> int:
-        """Mode E blocks the plan would frame (without framing them)."""
-        cached = self.__dict__.get("_block_count")
-        if cached is None:
-            bs = self.block_size
-            cached = sum(-(-(end - start) // bs) for start, end in self.ranges)
-            object.__setattr__(self, "_block_count", cached)
-        return cached
-
     def delivered_prefix(self, limit: int | None) -> ByteRangeSet:
         """Ranges safely delivered once ``limit`` payload bytes are spent.
 

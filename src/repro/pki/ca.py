@@ -20,7 +20,7 @@ from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
 from repro.pki.policy import SigningPolicy
-from repro.pki.rsa import PublicKey, generate_keypair
+from repro.pki.rsa import KeyHelper, PublicKey, generate_keypair
 from repro.sim.clock import Clock
 from repro.util.units import DAY, HOUR
 
@@ -54,6 +54,7 @@ class CertificateAuthority:
         self.enforce_own_policy = enforce_own_policy
         self._serials = itertools.count(self.rng.randrange(1, 1 << 24) << 16)
         self._key_pool: dict[int, deque] = {}
+        self._helper: KeyHelper | None = None
         root = Certificate(
             subject=subject,
             issuer=subject,
@@ -111,11 +112,13 @@ class CertificateAuthority:
         whether or not it was pregenerated; only the wall-clock moment of
         the generation work moves.  After construction the CA's rng feeds
         key generation exclusively (serials come from a counter), so an
-        over-full pool never perturbs any other random stream.
+        over-full pool never perturbs any other random stream.  The pool
+        fills synchronously, so each key is tallied when this call makes
+        it; keys a running helper already holds are taken as they are.
         """
         pool = self._key_pool.setdefault(key_bits, deque())
         for _ in range(count):
-            pool.append(generate_keypair(key_bits, self.rng))
+            pool.append(generate_keypair(key_bits, self.rng, self._helper))
 
     def issue_credential(
         self,
@@ -128,10 +131,17 @@ class CertificateAuthority:
 
         This is what MyProxy Online CA does on every logon (with a short
         lifetime) and what site admins did manually in the conventional
-        workflow (with a long one).
+        workflow (with a long one).  A key searched on demand starts a
+        :class:`~repro.pki.rsa.KeyHelper` when none runs and a slot is
+        free, so the next keys are searched on an idle CPU.
         """
         pool = self._key_pool.get(key_bits)
-        key = pool.popleft() if pool else generate_keypair(key_bits, self.rng)
+        if pool:
+            key = pool.popleft()
+        else:
+            key = generate_keypair(key_bits, self.rng, self._helper)
+            if self._helper is None or self._helper.closed:
+                self._helper = KeyHelper.start(key_bits, self.rng, owner=self)
         cert = self.issue(subject, key.public, lifetime=lifetime, extensions=extensions)
         return Credential(chain=(cert, self.certificate), key=key)
 

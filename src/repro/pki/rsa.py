@@ -26,16 +26,27 @@ but it skips a third of the full-width modular exponentiations:
   2**64).  For a prime, the 23 remaining draws are replayed without their
   exponentiations; a composite runs the remaining rounds as usual.
 
+Where a spare CPU exists, :class:`KeyHelper` runs one rng's key stream
+ahead in a forked process; :func:`generate_keypair` takes a key from it
+only for the exact rng state it would start from, so the key, the rng
+post-state, the memo and the tallies are those of an inline search.
+
 No padding scheme is implemented (the digest is orders of magnitude
 smaller than the modulus); do not reuse outside this simulation.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import marshal
 import math
+import os
 import random
+import signal
 import struct
+import sys
+import weakref
 from dataclasses import dataclass
 
 from repro.util import opcount
@@ -278,13 +289,34 @@ def _restore_state(rng: random.Random, packed: tuple[int, bytes, float | None]) 
     rng.setstate((version, struct.unpack(f"<{len(words) // 4}I", words), gauss_next))
 
 
-def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> KeyPair:
-    """Generate an RSA key pair of (approximately) ``bits`` modulus bits."""
+def _state_key(bits: int, rng: random.Random) -> tuple:
+    """The keygen memo's key for a ``bits``-bit search from ``rng``'s state."""
+    version, words, gauss_next = _packed_state(rng)
+    return (bits, version, hashlib.sha256(words).digest(), gauss_next)
+
+
+def _search_primes(bits: int, rng: random.Random) -> tuple[int, int]:
+    """The primes (p, q) of the next ``bits``-bit key in ``rng``'s stream."""
+    half = bits // 2
+    while True:
+        p = _random_prime(half, rng)
+        q = _random_prime(bits - half, rng)
+        if p != q and (p - 1) * (q - 1) % 65537:
+            return p, q
+
+
+def generate_keypair(
+    bits: int = 512, rng: random.Random | None = None, helper: "KeyHelper | None" = None
+) -> KeyPair:
+    """Generate an RSA key pair of (approximately) ``bits`` modulus bits.
+
+    On a memo miss the primes come from ``helper`` if it holds the search
+    from this exact (bits, rng state), else from an inline search.
+    """
     if bits < 64:
         raise ValueError("modulus must be at least 64 bits")
     rng = rng or random.Random()
-    version, words, gauss_next = _packed_state(rng)
-    memo_key = (bits, version, hashlib.sha256(words).digest(), gauss_next)
+    memo_key = _state_key(bits, rng)
     hit = _KEYGEN_MEMO.get(memo_key)
     if hit is not None:
         pair, post_state = hit
@@ -292,29 +324,151 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> KeyPa
         opcount.bump("rsa.keygen.memo")
         return pair
     opcount.bump("rsa.keygen.full")
+    found = helper.take(memo_key) if helper is not None else None
+    if found is None:
+        p, q = _search_primes(bits, rng)
+        post_state = _packed_state(rng)
+    else:
+        p, q, post_state = found
+        _restore_state(rng, post_state)
     e = 65537
-    half = bits // 2
+    d = pow(e, -1, (p - 1) * (q - 1))
+    pair = KeyPair(n=p * q, e=e, d=d)
+    # Stash the CRT parameters on the instance (KeyPair is frozen, so
+    # via object.__setattr__): signing with p/q halves the modulus
+    # width, ~4x faster, and produces the identical signature integer.
+    # Keys rebuilt from serialized (n, e, d) simply lack the stash and
+    # fall back to the plain private-exponent path.
+    object.__setattr__(pair, "_crt", (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p)))
+    _KEYGEN_MEMO.put(memo_key, (pair, post_state))
+    return pair
+
+
+#: Helpers alive at once: one per usable CPU beyond the first, none
+#: without ``os.fork`` or ``os.sched_getaffinity`` (tests patch this).
+HELPER_SLOTS = (
+    len(os.sched_getaffinity(0)) - 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    else 0
+)
+#: keys a helper may search beyond what its owner has read
+AHEAD = 16
+#: live helpers forked by this process, by pid
+_HELPERS: dict[int, "KeyHelper"] = {}
+
+
+class KeyHelper:
+    """A forked process that runs one rng's key stream ahead of it.
+
+    The child holds a copy of the rng and searches its next keys in
+    stream order.  Each goes back over a pipe as one length-prefixed
+    marshal of (memo key of the pre-state, p, q, packed post-state); the
+    parent returns one credit byte per frame it reads, and the child
+    searches at most :data:`AHEAD` keys beyond its credit.  The child
+    exits when the credit pipe closes or the key pipe breaks; the
+    parent kills and reaps it when its owner is collected, at exit, or
+    when :meth:`take` finds it out of step.
+    """
+
+    def __init__(self, pid: int, keys_fd: int, credit_fd: int, owner: object) -> None:
+        self.pid: int | None = pid
+        self._keys, self._credit, self._buf = keys_fd, credit_fd, b""
+        self._finalizer = weakref.finalize(owner, self.close)
+
+    @classmethod
+    def start(cls, bits: int, rng: random.Random, owner: object) -> "KeyHelper | None":
+        """Fork a helper for ``rng``'s stream, stopped when ``owner`` is
+        collected; None when every slot is taken or threads run (a forked
+        child of a threaded process may deadlock)."""
+        threading = sys.modules.get("threading")
+        if len(_HELPERS) >= HELPER_SLOTS or (threading and threading.active_count() > 1):
+            return None
+        keys_r, keys_w = os.pipe()
+        credit_r, credit_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (keys_r, keys_w, credit_r, credit_w):
+                os.close(fd)
+            return None
+        if pid == 0:
+            try:
+                gc.disable()  # no collection, and so no finalizer, runs here
+                siblings = [fd for h in _HELPERS.values() for fd in (h._keys, h._credit)]
+                for fd in (keys_r, credit_w, *siblings):
+                    os.close(fd)
+                _serve(bits, rng, keys_w, credit_r)
+            finally:
+                os._exit(0)
+        os.close(keys_w)
+        os.close(credit_r)
+        os.set_blocking(keys_r, False)
+        _HELPERS[pid] = helper = cls(pid, keys_r, credit_w, owner)
+        return helper
+
+    def take(self, memo_key: tuple) -> tuple[int, int, tuple] | None:
+        """(p, q, packed post-state) of the waiting key searched from
+        ``memo_key``'s state, or None.
+
+        Frames before it (keys the owner got from the memo or a pool)
+        are dropped.  When no such frame is waiting the helper is slow,
+        stopped, dead or out of step: it is closed, never waited on.
+        """
+        if self.pid is None:
+            return None
+        try:
+            while chunk := os.read(self._keys, 1 << 16):
+                self._buf += chunk
+        except BlockingIOError:
+            pass
+        buf = self._buf
+        try:
+            while len(buf) >= 4 and len(buf) >= (end := 4 + int.from_bytes(buf[:4], "little")):
+                frame, buf = marshal.loads(buf[4:end]), buf[end:]
+                os.write(self._credit, b"\0")
+                if frame[0] == memo_key:
+                    self._buf = buf
+                    return frame[1:]
+        except OSError:
+            pass
+        self.close()
+        return None
+
+    @property
+    def closed(self) -> bool:
+        """True once the helper has been stopped."""
+        return self.pid is None
+
+    def close(self) -> None:
+        """Kill and reap the child and close both pipe ends (idempotent)."""
+        pid, self.pid = self.pid, None
+        if pid is None:
+            return
+        _HELPERS.pop(pid, None)  # a test may have swapped the registry
+        self._finalizer.detach()
+        os.close(self._keys)
+        os.close(self._credit)
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass  # reaped elsewhere
+
+
+def _serve(bits: int, rng: random.Random, keys_fd: int, credit_fd: int) -> None:
+    """The child's loop: search keys in stream order while credit lasts."""
+    credit = AHEAD
     while True:
-        p = _random_prime(half, rng)
-        q = _random_prime(bits - half, rng)
-        if p == q:
-            continue
-        n = p * q
-        phi = (p - 1) * (q - 1)
-        if phi % e == 0:
-            continue
-        d = pow(e, -1, phi)
-        pair = KeyPair(n=n, e=e, d=d)
-        # Stash the CRT parameters on the instance (KeyPair is frozen, so
-        # via object.__setattr__): signing with p/q halves the modulus
-        # width, ~4x faster, and produces the identical signature integer.
-        # Keys rebuilt from serialized (n, e, d) simply lack the stash and
-        # fall back to the plain private-exponent path.
-        object.__setattr__(
-            pair, "_crt", (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
-        )
-        _KEYGEN_MEMO.put(memo_key, (pair, _packed_state(rng)))
-        return pair
+        if not credit:
+            credit = len(os.read(credit_fd, AHEAD))
+            if not credit:
+                return  # the parent closed its end
+        memo_key = _state_key(bits, rng)
+        p, q = _search_primes(bits, rng)
+        frame = marshal.dumps((memo_key, p, q, _packed_state(rng)))
+        os.write(keys_fd, len(frame).to_bytes(4, "little") + frame)  # blocking: all of it
+        credit -= 1
 
 
 def _digest_int(data: bytes, n: int) -> int:

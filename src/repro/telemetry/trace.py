@@ -116,13 +116,6 @@ class Trace:
         """Spans whose name starts with ``name``, in start order."""
         return [s for s in self.spans if s.name.startswith(name)]
 
-    def span_by_id(self, span_id: str) -> Span | None:
-        """Lookup one span by id."""
-        for s in self.spans:
-            if s.context.span_id == span_id:
-                return s
-        return None
-
     def children_of(self, span: Span) -> list[Span]:
         """Direct children of ``span``, in start order."""
         return [s for s in self.spans if s.context.parent_id == span.context.span_id]
