@@ -148,8 +148,10 @@ def build_fleet(seed: int, users: int, shards: int | None = None, trace: bool = 
     world.chaos.arm(hosts=list(WORKER_HOSTS))
     # MyProxy key pregeneration (a real myproxy-server feature): prime
     # search runs here, at provision time, instead of inside logons during
-    # the timed drain.  Issued keys are bit-identical either way — the
-    # pool replays the CA rng stream in issue order.
+    # the timed drain (on a host with two or more CPUs each CA's niced
+    # key-search helper searches the keys while this waits).  Issued keys
+    # are bit-identical either way — the pool replays the CA rng stream
+    # in issue order.
     ep_a.myproxy.ca.pregenerate(192)
     ep_b.myproxy.ca.pregenerate(192)
     return world, go, ep_a, ep_b

@@ -35,10 +35,3 @@ class UDTModel:
         # until it gives up entirely at 10x the tolerance.
         overload = (path.loss - self.loss_tolerance) / (9.0 * self.loss_tolerance)
         return max(base * (1.0 - min(overload, 0.99)), 1.0)
-
-    def transfer_time(self, nbytes: int, path: PathStats) -> float:
-        """Seconds to move ``nbytes`` over one UDT flow."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        rate = self.stream_rate(path)
-        return self.handshake_rtts * path.rtt_s + (nbytes * 8.0 / rate if nbytes else 0.0)

@@ -114,7 +114,9 @@ class CertificateAuthority:
         key generation exclusively (serials come from a counter), so an
         over-full pool never perturbs any other random stream.  The pool
         fills synchronously, so each key is tallied when this call makes
-        it; keys a running helper already holds are taken as they are.
+        it; a live :class:`~repro.pki.rsa.KeyHelper` for ``key_bits``
+        searches them while this call waits (one that searches another
+        size is closed, and the keys are searched here).
         """
         pool = self._key_pool.setdefault(key_bits, deque())
         for _ in range(count):
@@ -131,16 +133,21 @@ class CertificateAuthority:
 
         This is what MyProxy Online CA does on every logon (with a short
         lifetime) and what site admins did manually in the conventional
-        workflow (with a long one).  A key searched on demand starts a
-        :class:`~repro.pki.rsa.KeyHelper` when none runs and a slot is
-        free, so the next keys are searched on an idle CPU.
+        workflow (with a long one).  The key is the pool's next, else
+        searched on demand, by the CA's helper when it searches that key
+        (this call waits for it) and here otherwise.  An on-demand search
+        with no live helper starts a :class:`~repro.pki.rsa.KeyHelper` if
+        a slot is free, so the next keys are searched on another CPU,
+        unless the last helper starved: a host too busy to run it would
+        starve the next one too.
         """
         pool = self._key_pool.get(key_bits)
         if pool:
             key = pool.popleft()
         else:
             key = generate_keypair(key_bits, self.rng, self._helper)
-            if self._helper is None or self._helper.closed:
+            helper = self._helper
+            if helper is None or (helper.closed and not helper.starved):
                 self._helper = KeyHelper.start(key_bits, self.rng, owner=self)
         cert = self.issue(subject, key.public, lifetime=lifetime, extensions=extensions)
         return Credential(chain=(cert, self.certificate), key=key)

@@ -26,10 +26,11 @@ but it skips a third of the full-width modular exponentiations:
   2**64).  For a prime, the 23 remaining draws are replayed without their
   exponentiations; a composite runs the remaining rounds as usual.
 
-Where a spare CPU exists, :class:`KeyHelper` runs one rng's key stream
-ahead in a forked process; :func:`generate_keypair` takes a key from it
-only for the exact rng state it would start from, so the key, the rng
-post-state, the memo and the tallies are those of an inline search.
+On a host with two or more CPUs, :class:`KeyHelper` searches one rng's
+key stream in a forked process; :func:`generate_keypair` takes a key
+from it only for the exact rng state it would start from, so the key,
+the rng post-state, the memo and the tallies are those of an inline
+search.
 
 No padding scheme is implemented (the digest is orders of magnitude
 smaller than the modulus); do not reuse outside this simulation.
@@ -43,10 +44,13 @@ import marshal
 import math
 import os
 import random
+import select
 import signal
 import struct
 import sys
+import time
 import weakref
+from collections import deque
 from dataclasses import dataclass
 
 from repro.util import opcount
@@ -291,7 +295,12 @@ def _restore_state(rng: random.Random, packed: tuple[int, bytes, float | None]) 
 
 def _state_key(bits: int, rng: random.Random) -> tuple:
     """The keygen memo's key for a ``bits``-bit search from ``rng``'s state."""
-    version, words, gauss_next = _packed_state(rng)
+    return _packed_key(bits, _packed_state(rng))
+
+
+def _packed_key(bits: int, packed: tuple[int, bytes, float | None]) -> tuple:
+    """:func:`_state_key` of a state packed by :func:`_packed_state`."""
+    version, words, gauss_next = packed
     return (bits, version, hashlib.sha256(words).digest(), gauss_next)
 
 
@@ -344,45 +353,60 @@ def generate_keypair(
     return pair
 
 
-#: Helpers alive at once: one per usable CPU beyond the first, none
-#: without ``os.fork`` or ``os.sched_getaffinity`` (tests patch this).
-HELPER_SLOTS = (
-    len(os.sched_getaffinity(0)) - 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    else 0
-)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+#: Helpers alive at once: one per usable CPU, none on one CPU or without
+#: ``os.fork``, where every key is searched inline (tests patch this).
+HELPER_SLOTS = _CPUS if _CPUS > 1 and hasattr(os, "fork") else 0
 #: keys a helper may search beyond what its owner has read
 AHEAD = 16
+#: seconds between an owner's checks on the helper it waits for
+POLL_S = 0.02
 #: live helpers forked by this process, by pid
 _HELPERS: dict[int, "KeyHelper"] = {}
 
 
+def _queued_s(pid: int) -> float:
+    """Seconds process ``pid`` has been runnable but waiting for a CPU
+    (Linux ``/proc/<pid>/schedstat``); 0.0 where that is not reported."""
+    try:
+        with open(f"/proc/{pid}/schedstat", "rb") as fh:
+            return int(fh.read().split()[1]) / 1e9
+    except (OSError, IndexError, ValueError):
+        return 0.0
+
+
 class KeyHelper:
-    """A forked process that runs one rng's key stream ahead of it.
+    """A forked, niced process that searches one rng's ``bits``-bit key stream.
 
     The child holds a copy of the rng and searches its next keys in
     stream order.  Each goes back over a pipe as one length-prefixed
     marshal of (memo key of the pre-state, p, q, packed post-state); the
-    parent returns one credit byte per frame it reads, and the child
-    searches at most :data:`AHEAD` keys beyond its credit.  The child
-    exits when the credit pipe closes or the key pipe breaks; the
+    parent returns one credit byte per frame it uses or drops, and the
+    child searches at most :data:`AHEAD` keys beyond its credit.  The
+    child exits when the credit pipe closes or the key pipe breaks; the
     parent kills and reaps it when its owner is collected, at exit, or
-    when :meth:`take` finds it out of step.
+    when :meth:`take` finds it out of step, stopped or starved.
     """
 
-    def __init__(self, pid: int, keys_fd: int, credit_fd: int, owner: object) -> None:
+    def __init__(self, pid: int, bits: int, at: tuple, keys_fd: int, credit_fd: int,
+                 owner: object) -> None:
         self.pid: int | None = pid
+        self.bits, self._at = bits, at  # _at: memo key of the state it searches from
+        #: set when :meth:`take` closed it for waiting on a CPU longer than it ran
+        self.starved = False
         self._keys, self._credit, self._buf = keys_fd, credit_fd, b""
+        self._frames: deque = deque()
         self._finalizer = weakref.finalize(owner, self.close)
 
     @classmethod
     def start(cls, bits: int, rng: random.Random, owner: object) -> "KeyHelper | None":
-        """Fork a helper for ``rng``'s stream, stopped when ``owner`` is
-        collected; None when every slot is taken or threads run (a forked
-        child of a threaded process may deadlock)."""
+        """Fork a helper for ``rng``'s ``bits``-bit stream, stopped when
+        ``owner`` is collected; None when every slot is taken or threads
+        run (a forked child of a threaded process may deadlock)."""
         threading = sys.modules.get("threading")
         if len(_HELPERS) >= HELPER_SLOTS or (threading and threading.active_count() > 1):
             return None
+        at = _state_key(bits, rng)
         keys_r, keys_w = os.pipe()
         credit_r, credit_w = os.pipe()
         try:
@@ -394,41 +418,63 @@ class KeyHelper:
         if pid == 0:
             try:
                 gc.disable()  # no collection, and so no finalizer, runs here
+                os.nice(10)  # its owner waits for it, or has work of its own
                 siblings = [fd for h in _HELPERS.values() for fd in (h._keys, h._credit)]
                 for fd in (keys_r, credit_w, *siblings):
                     os.close(fd)
-                _serve(bits, rng, keys_w, credit_r)
+                _serve(bits, at, rng, keys_w, credit_r)
             finally:
                 os._exit(0)
         os.close(keys_w)
         os.close(credit_r)
         os.set_blocking(keys_r, False)
-        _HELPERS[pid] = helper = cls(pid, keys_r, credit_w, owner)
+        _HELPERS[pid] = helper = cls(pid, bits, at, keys_r, credit_w, owner)
         return helper
 
-    def take(self, memo_key: tuple) -> tuple[int, int, tuple] | None:
-        """(p, q, packed post-state) of the waiting key searched from
-        ``memo_key``'s state, or None.
-
-        Frames before it (keys the owner got from the memo or a pool)
-        are dropped.  When no such frame is waiting the helper is slow,
-        stopped, dead or out of step: it is closed, never waited on.
-        """
-        if self.pid is None:
-            return None
+    def _read(self) -> bool:
+        """Parse every whole frame waiting on the key pipe; False once it is closed."""
         try:
             while chunk := os.read(self._keys, 1 << 16):
-                self._buf += chunk
+                buf = self._buf + chunk
+                while len(buf) >= 4 and len(buf) >= (end := 4 + int.from_bytes(buf[:4], "little")):
+                    self._frames.append(marshal.loads(buf[4:end]))
+                    buf = buf[end:]
+                self._buf = buf
         except BlockingIOError:
-            pass
-        buf = self._buf
+            return True
+        return False
+
+    def take(self, memo_key: tuple) -> tuple[int, int, tuple] | None:
+        """(p, q, packed post-state) of the key searched from ``memo_key``'s
+        state, or None once the helper is closed.
+
+        Frames before it (keys the owner got from the memo or a pool) are
+        dropped.  With none waiting, the owner waits while the helper
+        searches exactly this key and gets a CPU at least half the time.
+        A helper that has exited, is stopped, searches another bit size,
+        is behind its owner or, over a wait of :data:`POLL_S` or more,
+        waited for a CPU longer than it ran (then :attr:`starved` is set)
+        is closed instead, and the key is searched inline.
+        """
+        since = None  # (time, helper's run-queue time) when the owner began to wait
         try:
-            while len(buf) >= 4 and len(buf) >= (end := 4 + int.from_bytes(buf[:4], "little")):
-                frame, buf = marshal.loads(buf[4:end]), buf[end:]
-                os.write(self._credit, b"\0")
-                if frame[0] == memo_key:
-                    self._buf = buf
-                    return frame[1:]
+            while self.pid is not None:
+                running = self._read()
+                while self._frames:
+                    frame = self._frames.popleft()
+                    os.write(self._credit, b"\0")
+                    self._at = _packed_key(self.bits, frame[3])
+                    if frame[0] == memo_key:
+                        return frame[1:]
+                if (not running or self._at != memo_key
+                        or os.waitpid(self.pid, os.WNOHANG | os.WUNTRACED)[0]):
+                    break
+                now, queued = time.monotonic(), _queued_s(self.pid)
+                since = since or (now, queued)
+                if now - since[0] >= POLL_S and queued - since[1] > (now - since[0]) / 2:
+                    self.starved = True
+                    break
+                select.select([self._keys], [], [], POLL_S)
         except OSError:
             pass
         self.close()
@@ -436,7 +482,7 @@ class KeyHelper:
 
     @property
     def closed(self) -> bool:
-        """True once the helper has been stopped."""
+        """True once the helper has been closed (its child killed and reaped)."""
         return self.pid is None
 
     def close(self) -> None:
@@ -444,8 +490,9 @@ class KeyHelper:
         pid, self.pid = self.pid, None
         if pid is None:
             return
-        _HELPERS.pop(pid, None)  # a test may have swapped the registry
+        _HELPERS.pop(pid, None)
         self._finalizer.detach()
+        self._frames.clear()
         os.close(self._keys)
         os.close(self._credit)
         try:
@@ -456,7 +503,7 @@ class KeyHelper:
             pass  # reaped elsewhere
 
 
-def _serve(bits: int, rng: random.Random, keys_fd: int, credit_fd: int) -> None:
+def _serve(bits: int, at: tuple, rng: random.Random, keys_fd: int, credit_fd: int) -> None:
     """The child's loop: search keys in stream order while credit lasts."""
     credit = AHEAD
     while True:
@@ -464,10 +511,11 @@ def _serve(bits: int, rng: random.Random, keys_fd: int, credit_fd: int) -> None:
             credit = len(os.read(credit_fd, AHEAD))
             if not credit:
                 return  # the parent closed its end
-        memo_key = _state_key(bits, rng)
         p, q = _search_primes(bits, rng)
-        frame = marshal.dumps((memo_key, p, q, _packed_state(rng)))
+        post = _packed_state(rng)
+        frame = marshal.dumps((at, p, q, post))
         os.write(keys_fd, len(frame).to_bytes(4, "little") + frame)  # blocking: all of it
+        at = _packed_key(bits, post)
         credit -= 1
 
 

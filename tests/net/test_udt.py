@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.gridftp.transfer import TransferOptions
 from repro.net.tcp import TCPModel, tcp_stream_rate
 from repro.net.topology import PathStats
 from repro.net.udt import UDTModel
+from repro.storage.data import SyntheticData
 from repro.util.units import GB, gbps
+from tests.net.test_tcp import engine_transfer
 
 
 def make_path(rtt=0.1, bw=gbps(10), loss=0.0):
@@ -46,11 +49,14 @@ def test_udt_beats_single_tcp_on_lossy_lfn():
 
 
 def test_transfer_time():
-    m = UDTModel(efficiency=1.0, handshake_rtts=0.0)
-    path = make_path(bw=gbps(8))
-    assert m.transfer_time(1 * GB, path) == pytest.approx(1 * GB * 8 / gbps(8))
-
-
-def test_transfer_time_rejects_negative():
-    with pytest.raises(ValueError):
-        UDTModel().transfer_time(-1, make_path())
+    """A UDT transfer pays its rendezvous handshake, then streams at the
+    model's rate with no slow-start ramp."""
+    res, path = engine_transfer(SyntheticData(seed=1, length=1 * GB),
+                                TransferOptions(transport="udt"))
+    model = UDTModel()
+    payload = 1 * GB * 8 / model.stream_rate(path)
+    assert res.duration_s == pytest.approx(model.handshake_rtts * path.rtt_s + payload)
+    # a cached (already set up) data channel pays the payload alone
+    warm, _ = engine_transfer(SyntheticData(seed=1, length=1 * GB),
+                              TransferOptions(transport="udt"), charge_setup=False)
+    assert warm.duration_s == pytest.approx(payload)

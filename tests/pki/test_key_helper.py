@@ -1,14 +1,16 @@
-"""The forked key-search helper changes when keys are searched, never which.
+"""The forked key-search helpers change when keys are searched, never which.
 
-``KeyHelper`` runs a CA's key stream ahead in a child process, and
+``KeyHelper`` searches a CA's key stream in a child process, and
 ``generate_keypair`` takes a key from it only for the exact (bits, rng
-state) it would search from.  A run with one helper slot must therefore
-be indistinguishable from a run with none: the same keys, the same CA
-rng state after every call, the same keygen-memo entries in the same
-order and the same op tallies, whatever the helper does meanwhile
-(runs ahead, falls behind, is stopped or killed).  Tests set the slot
-count by patching ``rsa.HELPER_SLOTS``, and count slots in a registry of
-their own, since a world another test keeps alive may hold a helper.
+state) it would search from, waiting only while the helper searches
+exactly that key and gets a CPU.  Runs with zero, one or two helper
+slots must therefore be indistinguishable: the same keys, the same CA
+rng state and pool after every call, the same keygen-memo entries in
+the same order and the same op tallies, whatever the helpers do
+meanwhile (run ahead, fall behind, are stopped, killed or starved).
+Tests set how many helpers they may fork by patching
+``rsa.HELPER_SLOTS`` to that many beyond the helpers that worlds kept
+by other tests hold, and count only their own.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.pki.rsa as rsa
@@ -35,18 +39,54 @@ from repro.pki.dn import DistinguishedName
 from repro.sim.clock import Clock
 from repro.sim.world import World
 from repro.storage.data import LiteralData
-from repro.util import opcount
+from repro.util import memo, opcount
 from repro.util.memo import Memo
 from repro.util.units import KB, gbps
 from tests.conftest import make_gcmu_site
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
+
+#: pids of helpers that worlds kept by other tests held when this test began
+_OTHERS: set[int] = set()
+
+
 @pytest.fixture(autouse=True)
-def own_registry(monkeypatch):
-    """A registry of this test's helpers; the keygen memo restored after."""
-    monkeypatch.setattr(rsa, "_HELPERS", {})
+def others_helpers(monkeypatch):
+    """Note the helpers that are not this test's; the keygen memo restored after."""
+    gc.collect()  # helpers of garbage worlds close now, not halfway through the test
+    _OTHERS.clear()
+    _OTHERS.update(rsa._HELPERS)
     monkeypatch.setattr(rsa, "_KEYGEN_MEMO", rsa._KEYGEN_MEMO)
+
+
+def _slots(monkeypatch, n: int) -> None:
+    """Let this test fork ``n`` helpers."""
+    monkeypatch.setattr(rsa, "HELPER_SLOTS", len(_OTHERS) + n)
+
+
+def _mine() -> dict:
+    """This test's live helpers, by pid."""
+    return {pid: h for pid, h in rsa._HELPERS.items() if pid not in _OTHERS}
+
+
+class _Hung(BaseException):
+    """Not an OSError, which ``KeyHelper.take`` absorbs, nor an Exception,
+    which hypothesis would shrink by running the hanging example again."""
+
+
+@pytest.fixture(autouse=True)
+def no_hang():
+    """An owner left waiting on a helper fails its test after two minutes
+    instead of blocking the suite."""
+    def hung(signum, frame):
+        raise _Hung("a test of key helpers ran for two minutes")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 STEPS = ("issue", "issue", "issue", "issue_other_bits", "pregenerate", "wait", "kill", "stop")
@@ -63,48 +103,73 @@ def _user(i: int) -> DistinguishedName:
 
 def _wait_for_frame(helper: rsa.KeyHelper | None) -> None:
     """Block until the helper has a key waiting (at most 5 s)."""
-    if helper is not None and not helper.closed:
+    if helper is not None and not helper.closed and not helper._frames:
         select.select([helper._keys], [], [], 5.0)
 
 
-def _drive(seed: int, steps: list[str], bits: int) -> tuple[list, list, dict]:
-    """Run ``steps`` against a fresh CA and memo; (per-call trace, memo entries, tallies)."""
-    memo = Memo("rsa.keygen", 256)
-    rsa._KEYGEN_MEMO = memo
+def _child_search(delay_s: float, fast: int = 0):
+    """A ``_search_primes`` that, in a forked helper, sleeps ``delay_s``
+    before each search after its first ``fast``, and records each search
+    this process makes."""
+    search, parent, inline, child = rsa._search_primes, os.getpid(), [], []
+
+    def searched(bits, rng):
+        if os.getpid() == parent:
+            inline.append(bits)
+        else:
+            if len(child) >= fast:
+                time.sleep(delay_s)
+            child.append(bits)  # each child's own copy, empty when forked
+        return search(bits, rng)
+
+    return searched, inline
+
+
+def _drive(seed: int, steps: list[tuple[int, str]], bits: int) -> tuple:
+    """Run ``steps`` against two fresh CAs and a fresh memo, then issue every
+    key still pooled; (per-call trace, memo entries, tallies)."""
+    entries = Memo("rsa.keygen", 256)
+    rsa._KEYGEN_MEMO = entries
     before = opcount.snapshot()
-    ca = _ca(seed)
+    cas = [_ca(seed), _ca(seed + 1)]
+    stopped: set[int] = set()
     trace: list = []
-    stopped = False
-    for i, step in enumerate(steps):
+
+    def issue(c: int, key_bits: int) -> None:
+        key = cas[c].issue_credential(_user(len(trace)), key_bits=key_bits).key
+        trace.append((c, key_bits, key.n, key.d, key._crt, cas[c].rng.getstate()))
+
+    for c, step in steps:
+        ca = cas[c]
         helper = ca._helper
         live = helper is not None and not helper.closed
         if step in ("issue", "issue_other_bits"):
-            key_bits = bits if step == "issue" else bits + 32
-            key = ca.issue_credential(_user(i), key_bits=key_bits).key
-            trace.append((step, key.n, key.d, key._crt, ca.rng.getstate()))
+            issue(c, bits if step == "issue" else bits + 32)
         elif step == "pregenerate":
             ca.pregenerate(2, key_bits=bits)
             pool = ca._key_pool[bits]
-            trace.append((step, [(k.n, k.d) for k in pool], ca.rng.getstate()))
+            trace.append((c, step, [(k.n, k.d) for k in pool], ca.rng.getstate()))
         elif step == "wait":
-            if live and not stopped:
+            if live and helper.pid not in stopped:
                 _wait_for_frame(helper)
         elif live and step == "kill":
             os.kill(helper.pid, signal.SIGKILL)
         elif live and step == "stop":
             os.kill(helper.pid, signal.SIGSTOP)
-            stopped = True
-        if ca._helper is not helper:
-            stopped = False
-    entries = list(memo._entries.items())
+            stopped.add(helper.pid)
+    for c, ca in enumerate(cas):
+        while ca._key_pool.get(bits):
+            issue(c, bits)
+    memo_entries = list(entries._entries.items())
     tallies = opcount.since(before)
-    del ca
+    del cas, ca, helper
     gc.collect()
-    return trace, entries, tallies
+    return trace, memo_entries, tallies
 
 
-def test_one_helper_slot_matches_none(monkeypatch):
-    """Differential: random interleavings give equal outcomes with and without a helper."""
+def test_helper_slots_match_none(monkeypatch):
+    """Differential: random interleavings of two CAs give equal outcomes
+    with zero, one and two helper slots."""
     served = []
     take = rsa.KeyHelper.take
 
@@ -118,40 +183,187 @@ def test_one_helper_slot_matches_none(monkeypatch):
     @settings(max_examples=40)
     @given(
         seed=st.integers(0, 2**16),
-        steps=st.lists(st.sampled_from(STEPS), min_size=1, max_size=14),
+        steps=st.lists(st.tuples(st.integers(0, 1), st.sampled_from(STEPS)),
+                       min_size=1, max_size=16),
         bits=st.sampled_from([96, 128]),
     )
+    @example(seed=5, bits=128, steps=[(0, "issue"), (1, "issue"), (0, "pregenerate"),
+                                      (1, "pregenerate"), (1, "issue"), (0, "issue_other_bits"),
+                                      (0, "issue"), (1, "issue_other_bits")])
+    # with one slot: CA 0's helper dies after a pregenerate, CA 1 finds no
+    # slot, and CA 0 issues from its pool and then on demand
+    @example(seed=9, bits=128, steps=[(0, "issue"), (0, "pregenerate"), (0, "kill"),
+                                      (1, "issue"), (0, "issue"), (0, "issue"), (0, "issue")])
     def check(seed, steps, bits):
-        monkeypatch.setattr(rsa, "HELPER_SLOTS", 0)
-        inline = _drive(seed, steps, bits)
-        monkeypatch.setattr(rsa, "HELPER_SLOTS", 1)
-        helped = _drive(seed, steps, bits)
-        assert helped[0] == inline[0]
-        assert helped[1] == inline[1]
-        assert helped[2] == inline[2]
-        assert not rsa._HELPERS
+        runs = []
+        for slots in (0, 1, 2):
+            _slots(monkeypatch, slots)
+            runs.append(_drive(seed, steps, bits))
+            assert not _mine()
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     check()
     assert any(served), "no key was ever taken from a helper"
     assert not all(served), "no helper was ever dropped"
 
 
+def test_pregenerate_on_a_live_helper_searches_no_key_inline(monkeypatch):
+    """``pregenerate`` waits for the helper's keys instead of searching them."""
+    searched, inline = _child_search(0.0)
+    monkeypatch.setattr(rsa, "_search_primes", searched)
+    keys = {}
+    for slots in (1, 0):
+        _slots(monkeypatch, slots)
+        rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+        ca = _ca(3)
+        ca.issue_credential(_user(0))  # on demand: searched here, and forks the helper
+        assert (ca._helper is not None) == bool(slots)
+        inline.clear()
+        ca.pregenerate(50)
+        assert len(inline) == (0 if slots else 50)
+        keys[slots] = [ca.issue_credential(_user(i)).key for i in range(1, 51)]
+        del ca
+        gc.collect()
+    assert keys[1] == keys[0]
+    assert not _mine()
+
+
+@pytest.mark.skipif(not memo.enabled(), reason="memo hits need the keygen memo")
+def test_owner_ahead_of_its_helper_drops_it_without_waiting(monkeypatch):
+    """Memo hits move the CA past keys its slow helper has not searched yet:
+    the next miss closes the helper at once and searches inline."""
+    _slots(monkeypatch, 0)
+    rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+    ca = _ca(4)
+    expected = [ca.issue_credential(_user(i), key_bits=128).key for i in range(6)]
+    ca = _ca(4)
+    for i in range(2):
+        ca.issue_credential(_user(i), key_bits=128)
+    rsa._KEYGEN_MEMO = third_to_fifth = Memo("rsa.keygen", 256)
+    for i in range(2, 5):
+        ca.issue_credential(_user(i), key_bits=128)
+    searched, inline = _child_search(5.0, fast=1)  # the helper's second key takes 5 s
+    monkeypatch.setattr(rsa, "_search_primes", searched)
+    waits = []
+    monkeypatch.setattr(rsa, "select", SimpleNamespace(
+        select=lambda *a: waits.append(a) or select.select(*a)))
+    _slots(monkeypatch, 1)
+    ca = _ca(4)
+    keys = [ca.issue_credential(_user(0), key_bits=128).key]  # searched here; forks the helper
+    helper = ca._helper
+    assert helper is not None
+    keys.append(ca.issue_credential(_user(1), key_bits=128).key)  # the helper's first key
+    keys += [ca.issue_credential(_user(i), key_bits=128).key for i in range(2, 5)]  # memo hits
+    assert third_to_fifth.hits == 3 and not helper.closed
+    inline.clear()
+    waits.clear()
+    keys.append(ca.issue_credential(_user(5), key_bits=128).key)
+    assert keys == expected
+    assert helper.closed and not waits
+    assert inline == [128]  # the sixth key was searched here
+    del ca, helper
+    gc.collect()
+    assert not _mine()
+
+
+def test_starved_helper_is_dropped_and_not_restarted(monkeypatch):
+    """A helper that waits for a CPU longer than it runs is closed after
+    one poll, the key is searched inline, and its CA forks no other."""
+    _slots(monkeypatch, 0)
+    rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+    ca = _ca(5)
+    expected = [ca.issue_credential(_user(i), key_bits=128).key for i in range(3)]
+    assert isinstance(rsa._queued_s(os.getpid()), float)
+    searched, inline = _child_search(5.0)  # the helper sleeps 5 s before each key
+    monkeypatch.setattr(rsa, "_search_primes", searched)
+    _slots(monkeypatch, 1)
+    rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+    ca = _ca(5)
+    keys = [ca.issue_credential(_user(0), key_bits=128).key]  # searched here; forks the helper
+    helper = ca._helper
+    assert helper is not None
+    monkeypatch.setattr(rsa, "_queued_s", lambda pid: time.monotonic())  # never on a CPU
+    inline.clear()
+    began = time.monotonic()
+    keys.append(ca.issue_credential(_user(1), key_bits=128).key)
+    assert time.monotonic() - began < 2.0  # not the helper's 5 s
+    assert helper.closed and helper.starved
+    keys.append(ca.issue_credential(_user(2), key_bits=128).key)
+    assert keys == expected
+    assert inline == [128, 128]
+    assert ca._helper is helper and not _mine()
+    del ca, helper
+    gc.collect()
+
+
+def _script_output(script: str) -> str:
+    """Stdout of ``script`` run in a fresh interpreter (60 s at most)."""
+    src = str(Path(rsa.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_stopped_helper_is_dropped_not_waited_on():
+    """In a fresh interpreter, so a hang fails the test on its timeout."""
+    assert _script_output("""
+        import os, random, signal, time
+        import repro.pki.rsa as rsa
+        from repro.pki.ca import CertificateAuthority
+        from repro.pki.dn import DistinguishedName
+        from repro.sim.clock import Clock
+        from repro.util.memo import Memo
+
+        search, parent, inline = rsa._search_primes, os.getpid(), []
+        def searched(bits, rng):
+            if os.getpid() == parent:
+                inline.append(bits)
+            else:
+                time.sleep(1.0)  # the stop lands before the helper's first key
+            return search(bits, rng)
+        rsa._search_primes = searched
+
+        def keys(slots):
+            rsa.HELPER_SLOTS = slots
+            rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+            ca = CertificateAuthority(DistinguishedName.make(("CN", "CA")), Clock(),
+                                      rng=random.Random(1), key_bits=128)
+            first = ca.issue_credential(DistinguishedName.make(("CN", "u0")), key_bits=128)
+            if slots:
+                pid = ca._helper.pid
+                os.kill(pid, signal.SIGSTOP)
+                os.waitid(os.P_PID, pid, os.WSTOPPED | os.WNOWAIT)  # stopped, still waitable
+                inline.clear()
+            second = ca.issue_credential(DistinguishedName.make(("CN", "u1")), key_bits=128)
+            if slots:
+                assert inline == [128], inline
+                assert pid not in rsa._HELPERS
+            return first.key, second.key
+
+        assert keys(1) == keys(0)
+        print("dropped")
+    """) == "dropped"
+
+
 def test_dropped_ca_reaps_its_helper(monkeypatch):
-    monkeypatch.setattr(rsa, "HELPER_SLOTS", 1)
+    _slots(monkeypatch, 1)
     ca = _ca(1)
     ca.issue_credential(_user(0), key_bits=128)
     pid = ca._helper.pid
-    assert rsa._HELPERS == {pid: ca._helper}
+    assert _mine() == {pid: ca._helper}
     del ca
     gc.collect()
-    assert not rsa._HELPERS
+    assert not _mine()
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
 
 
 def test_dropped_ca_leaves_no_child_process():
     """In a fresh interpreter, where no other world holds a helper."""
-    script = textwrap.dedent("""
+    assert _script_output("""
         import gc, os, random
         import repro.pki.rsa as rsa
         from repro.pki.ca import CertificateAuthority
@@ -169,13 +381,7 @@ def test_dropped_ca_leaves_no_child_process():
             os.waitpid(-1, os.WNOHANG)
         except ChildProcessError:
             print("no child")
-    """)
-    src = str(Path(rsa.__file__).resolve().parents[2])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "no child"
+    """) == "no child"
 
 
 def _pipe_inodes(pid: int) -> set[str]:
@@ -192,12 +398,12 @@ def _pipe_inodes(pid: int) -> set[str]:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_slots_bound_helpers_and_siblings_hold_no_pipes(monkeypatch):
-    monkeypatch.setattr(rsa, "HELPER_SLOTS", 2)
+    _slots(monkeypatch, 2)
     first, second, third = _ca(1), _ca(2), _ca(3)
     for ca in (first, second, third):
         ca.issue_credential(_user(0), key_bits=128)
     assert third._helper is None  # both slots are taken
-    assert len(rsa._HELPERS) == 2
+    assert len(_mine()) == 2
     own = {f"pipe:[{os.fstat(fd).st_ino}]" for fd in (first._helper._keys, first._helper._credit)}
     _wait_for_frame(second._helper)  # past its set-up, so it has closed what it will close
     assert own <= _pipe_inodes(os.getpid())
@@ -208,7 +414,7 @@ def test_slots_bound_helpers_and_siblings_hold_no_pipes(monkeypatch):
     assert third._helper is not None and not third._helper.closed
     second._helper.close()
     third._helper.close()
-    assert not rsa._HELPERS
+    assert not _mine()
 
 
 def _go_world(seed: int):
@@ -230,7 +436,8 @@ def _go_world(seed: int):
 
 def _activate_and_drain(sig: int | None) -> tuple[list, list, float]:
     """Per user: activate both endpoints, queue one job, drain.  After the
-    second user, ``sig`` goes to the alcf CA's helper."""
+    second user, ``sig`` goes to the alcf CA's helper (with two slots
+    both CAs hold one)."""
     rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)  # every CA key is searched
     world, go, ep_a, ep_b, users = _go_world(7)
     ca = ep_a.myproxy.ca
@@ -256,10 +463,10 @@ def _activate_and_drain(sig: int | None) -> tuple[list, list, float]:
 
 @pytest.mark.parametrize("sig", [signal.SIGSTOP, signal.SIGKILL], ids=["stopped", "killed"])
 def test_stopped_or_killed_helper_changes_no_key(sig, monkeypatch):
-    monkeypatch.setattr(rsa, "HELPER_SLOTS", 0)
+    _slots(monkeypatch, 0)
     expected = _activate_and_drain(None)
-    monkeypatch.setattr(rsa, "HELPER_SLOTS", 1)
+    _slots(monkeypatch, 2)
     assert _activate_and_drain(sig) == expected
     assert all(status is JobStatus.SUCCEEDED for status in expected[1])
     gc.collect()
-    assert not rsa._HELPERS
+    assert not _mine()
