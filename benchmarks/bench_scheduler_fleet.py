@@ -146,14 +146,15 @@ def build_fleet(seed: int, users: int, shards: int | None = None, trace: bool = 
         horizon_s=6 * 3600.0,
     ))
     world.chaos.arm(hosts=list(WORKER_HOSTS))
-    # MyProxy key pregeneration (a real myproxy-server feature): prime
-    # search runs here, at provision time, instead of inside logons during
-    # the timed drain (on a host with two or more CPUs each CA's niced
-    # key-search helper searches the keys while this waits).  Issued keys
-    # are bit-identical either way — the pool replays the CA rng stream
-    # in issue order.
-    ep_a.myproxy.ca.pregenerate(192)
-    ep_b.myproxy.ca.pregenerate(192)
+    # MyProxy key pregeneration (a real myproxy-server feature): on a host
+    # with two or more CPUs each CA's niced key-search helper searches the
+    # keys of the set-up's activations, one per user on each CA, while
+    # set-up goes on: `pregenerate` returns at once and searches nothing.
+    # Asking for more keys than set-up draws would leave the helpers
+    # searching them during the timed drain.  Issued keys and tallies are
+    # the same either way: each key is still made when it is issued.
+    ep_a.myproxy.ca.pregenerate(users)
+    ep_b.myproxy.ca.pregenerate(users)
     return world, go, ep_a, ep_b
 
 

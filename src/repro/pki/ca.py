@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 
 from repro.errors import SigningPolicyError
 from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
 from repro.pki.policy import SigningPolicy
-from repro.pki.rsa import KeyHelper, PublicKey, generate_keypair
+from repro.pki.rsa import AHEAD, KeyHelper, PublicKey, generate_keypair, memoized
 from repro.sim.clock import Clock
 from repro.util.units import DAY, HOUR
 
@@ -53,8 +52,9 @@ class CertificateAuthority:
         self.policy = policy
         self.enforce_own_policy = enforce_own_policy
         self._serials = itertools.count(self.rng.randrange(1, 1 << 24) << 16)
-        self._key_pool: dict[int, deque] = {}
         self._helper: KeyHelper | None = None
+        self._starvations = 0  # helpers of this CA that starved
+        self._inline_keys = 0  # keys to make without a helper before forking again
         root = Certificate(
             subject=subject,
             issuer=subject,
@@ -103,24 +103,28 @@ class CertificateAuthority:
         return cert.signed_by(self.key)
 
     def pregenerate(self, count: int, key_bits: int = 512) -> None:
-        """Fill the key pool ahead of time (MyProxy key pregeneration).
+        """Have the next ``count`` keys searched in idle time (MyProxy key
+        pregeneration), and return at once.
 
         Real MyProxy servers pregenerate RSA key pairs in idle time so a
-        logon never waits on prime search.  The pool draws from the same
-        rng stream, in the same order, that :meth:`issue_credential`
-        would — the i-th issued credential carries the identical key
-        whether or not it was pregenerated; only the wall-clock moment of
-        the generation work moves.  After construction the CA's rng feeds
-        key generation exclusively (serials come from a counter), so an
-        over-full pool never perturbs any other random stream.  The pool
-        fills synchronously, so each key is tallied when this call makes
-        it; a live :class:`~repro.pki.rsa.KeyHelper` for ``key_bits``
-        searches them while this call waits (one that searches another
-        size is closed, and the keys are searched here).
+        logon never waits on prime search.  This forks the CA's
+        :class:`~repro.pki.rsa.KeyHelper` where :meth:`issue_credential`
+        would, and lets a helper for ``key_bits`` search up to ``count``
+        keys beyond those this CA has taken from it.  It searches,
+        tallies and draws nothing itself: every key is still made by
+        :meth:`issue_credential` when it is issued, so the i-th issued
+        credential carries the identical key, and every tally, memo entry
+        and rng state is the same, whether or not it was pregenerated and
+        whatever the host's CPU count; only when the search runs moves.
+        Without a helper for ``key_bits``, or when the keygen memo holds
+        the next key (a replayed stream is never searched), it does
+        nothing.
         """
-        pool = self._key_pool.setdefault(key_bits, deque())
-        for _ in range(count):
-            pool.append(generate_keypair(key_bits, self.rng, self._helper))
+        if memoized(key_bits, self.rng):
+            return
+        helper = self._live_helper(key_bits)
+        if helper is not None and helper.bits == key_bits:
+            helper.run_ahead(count)
 
     def issue_credential(
         self,
@@ -133,24 +137,42 @@ class CertificateAuthority:
 
         This is what MyProxy Online CA does on every logon (with a short
         lifetime) and what site admins did manually in the conventional
-        workflow (with a long one).  The key is the pool's next, else
-        searched on demand, by the CA's helper when it searches that key
-        (this call waits for it) and here otherwise.  An on-demand search
-        with no live helper starts a :class:`~repro.pki.rsa.KeyHelper` if
-        a slot is free, so the next keys are searched on another CPU,
-        unless the last helper starved: a host too busy to run it would
-        starve the next one too.
+        workflow (with a long one).  The key is searched by the CA's
+        helper when it searches that key (this call waits for it) and
+        here otherwise.  A key searched here starts a
+        :class:`~repro.pki.rsa.KeyHelper` if a slot is free, so the next
+        keys are searched on another CPU; a key from the keygen memo
+        starts none, since a stream the memo replays would leave the
+        helper searching keys no one takes.  After a helper starved (its
+        host was too busy to run it), the CA first makes
+        :data:`~repro.pki.rsa.AHEAD` keys without one, twice as many
+        after each further starvation, so a host that stays busy pays for
+        few probes.
         """
-        pool = self._key_pool.get(key_bits)
-        if pool:
-            key = pool.popleft()
-        else:
-            key = generate_keypair(key_bits, self.rng, self._helper)
-            helper = self._helper
-            if helper is None or (helper.closed and not helper.starved):
-                self._helper = KeyHelper.start(key_bits, self.rng, owner=self)
+        helper = self._helper
+        live = helper is not None and not helper.closed
+        replayed = not live and memoized(key_bits, self.rng)
+        key = generate_keypair(key_bits, self.rng, helper)
+        if live and helper.starved:
+            self._starvations += 1
+            self._inline_keys = AHEAD << (self._starvations - 1)
+        elif not live and self._inline_keys:
+            self._inline_keys -= 1
+        if not replayed:
+            self._live_helper(key_bits)
         cert = self.issue(subject, key.public, lifetime=lifetime, extensions=extensions)
         return Credential(chain=(cert, self.certificate), key=key)
+
+    def _live_helper(self, key_bits: int) -> KeyHelper | None:
+        """The CA's live helper, else a new one for ``key_bits`` when a slot
+        is free and no key is left to make without one."""
+        helper = self._helper
+        if helper is not None and not helper.closed:
+            return helper
+        if self._inline_keys:
+            return None
+        self._helper = KeyHelper.start(key_bits, self.rng, owner=self)
+        return self._helper
 
 
 def self_signed_credential(

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.gridftp.mode_e import Block, iter_blocks, plan_blocks, round_robin
+from repro.gridftp.mode_e import plan_blocks
 from repro.storage.data import LiteralData, SyntheticData
 from repro.util.ranges import ByteRangeSet
+from tests.gridftp.mode_e_reference import Block, iter_blocks, round_robin
 
 
 def test_block_header_round_trip():

@@ -3,11 +3,12 @@
 ``KeyHelper`` searches a CA's key stream in a child process, and
 ``generate_keypair`` takes a key from it only for the exact (bits, rng
 state) it would search from, waiting only while the helper searches
-exactly that key and gets a CPU.  Runs with zero, one or two helper
-slots must therefore be indistinguishable: the same keys, the same CA
-rng state and pool after every call, the same keygen-memo entries in
-the same order and the same op tallies, whatever the helpers do
-meanwhile (run ahead, fall behind, are stopped, killed or starved).
+exactly that key and gets a CPU; ``pregenerate`` only lets a helper run
+further ahead.  Runs with zero, one or two helper slots must therefore
+be indistinguishable: the same keys, the same CA rng state after every
+call, the same keygen-memo entries in the same order and the same op
+tallies, whatever the helpers do meanwhile (run ahead, fall behind, are
+stopped, killed or starved).
 Tests set how many helpers they may fork by patching
 ``rsa.HELPER_SLOTS`` to that many beyond the helpers that worlds kept
 by other tests hold, and count only their own.
@@ -53,11 +54,12 @@ _OTHERS: set[int] = set()
 
 @pytest.fixture(autouse=True)
 def others_helpers(monkeypatch):
-    """Note the helpers that are not this test's; the keygen memo restored after."""
+    """Note the helpers that are not this test's; an empty keygen memo, so
+    no other test's keys stop a CA here from forking, restored after."""
     gc.collect()  # helpers of garbage worlds close now, not halfway through the test
     _OTHERS.clear()
     _OTHERS.update(rsa._HELPERS)
-    monkeypatch.setattr(rsa, "_KEYGEN_MEMO", rsa._KEYGEN_MEMO)
+    monkeypatch.setattr(rsa, "_KEYGEN_MEMO", Memo("rsa.keygen", 256))
 
 
 def _slots(monkeypatch, n: int) -> None:
@@ -126,8 +128,8 @@ def _child_search(delay_s: float, fast: int = 0):
 
 
 def _drive(seed: int, steps: list[tuple[int, str]], bits: int) -> tuple:
-    """Run ``steps`` against two fresh CAs and a fresh memo, then issue every
-    key still pooled; (per-call trace, memo entries, tallies)."""
+    """Run ``steps`` against two fresh CAs and a fresh memo; (per-call
+    trace, memo entries, tallies)."""
     entries = Memo("rsa.keygen", 256)
     rsa._KEYGEN_MEMO = entries
     before = opcount.snapshot()
@@ -146,9 +148,10 @@ def _drive(seed: int, steps: list[tuple[int, str]], bits: int) -> tuple:
         if step in ("issue", "issue_other_bits"):
             issue(c, bits if step == "issue" else bits + 32)
         elif step == "pregenerate":
-            ca.pregenerate(2, key_bits=bits)
-            pool = ca._key_pool[bits]
-            trace.append((c, step, [(k.n, k.d) for k in pool], ca.rng.getstate()))
+            state = ca.rng.getstate()
+            ca.pregenerate(rsa.AHEAD + 2, key_bits=bits)  # beyond the helper's usual lead
+            assert ca.rng.getstate() == state
+            trace.append((c, step, state))
         elif step == "wait":
             if live and helper.pid not in stopped:
                 _wait_for_frame(helper)
@@ -157,9 +160,6 @@ def _drive(seed: int, steps: list[tuple[int, str]], bits: int) -> tuple:
         elif live and step == "stop":
             os.kill(helper.pid, signal.SIGSTOP)
             stopped.add(helper.pid)
-    for c, ca in enumerate(cas):
-        while ca._key_pool.get(bits):
-            issue(c, bits)
     memo_entries = list(entries._entries.items())
     tallies = opcount.since(before)
     del cas, ca, helper
@@ -191,7 +191,7 @@ def test_helper_slots_match_none(monkeypatch):
                                       (1, "pregenerate"), (1, "issue"), (0, "issue_other_bits"),
                                       (0, "issue"), (1, "issue_other_bits")])
     # with one slot: CA 0's helper dies after a pregenerate, CA 1 finds no
-    # slot, and CA 0 issues from its pool and then on demand
+    # slot, and CA 0 searches inline, then forks again
     @example(seed=9, bits=128, steps=[(0, "issue"), (0, "pregenerate"), (0, "kill"),
                                       (1, "issue"), (0, "issue"), (0, "issue"), (0, "issue")])
     def check(seed, steps, bits):
@@ -209,7 +209,8 @@ def test_helper_slots_match_none(monkeypatch):
 
 
 def test_pregenerate_on_a_live_helper_searches_no_key_inline(monkeypatch):
-    """``pregenerate`` waits for the helper's keys instead of searching them."""
+    """``pregenerate`` searches, tallies and draws nothing; with a helper
+    the keys it asked for are searched there, and they are the inline ones."""
     searched, inline = _child_search(0.0)
     monkeypatch.setattr(rsa, "_search_primes", searched)
     keys = {}
@@ -220,12 +221,81 @@ def test_pregenerate_on_a_live_helper_searches_no_key_inline(monkeypatch):
         ca.issue_credential(_user(0))  # on demand: searched here, and forks the helper
         assert (ca._helper is not None) == bool(slots)
         inline.clear()
+        before, state = opcount.snapshot(), ca.rng.getstate()
         ca.pregenerate(50)
-        assert len(inline) == (0 if slots else 50)
+        assert not inline
+        assert not opcount.since(before)
+        assert ca.rng.getstate() == state
         keys[slots] = [ca.issue_credential(_user(i)).key for i in range(1, 51)]
+        assert len(inline) == (0 if slots else 50)
         del ca
         gc.collect()
     assert keys[1] == keys[0]
+    assert not _mine()
+
+
+def _frames_after(helper: rsa.KeyHelper, count: int) -> list:
+    """The frames waiting once the helper has sent ``count`` (at most 30 s),
+    and then had time to send more."""
+    deadline = time.monotonic() + 30.0
+    while len(helper._frames) < count and time.monotonic() < deadline:
+        select.select([helper._keys], [], [], 1.0)
+        assert helper._read()
+    time.sleep(0.2)  # a 128-bit key takes about a millisecond: time for more
+    helper._read()
+    return list(helper._frames)
+
+
+def test_pregenerate_lets_the_helper_run_ahead_beyond_its_usual_lead(monkeypatch):
+    """On a CA that has issued one key, ``pregenerate(20)`` forks a helper
+    that delivers 20 keys with no issue in between, more than
+    :data:`rsa.AHEAD`, and stops there; the CA's next 20 keys are those
+    frames, and then the helper runs :data:`rsa.AHEAD` ahead again."""
+    assert 20 > rsa.AHEAD
+    _slots(monkeypatch, 0)
+    rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+    ca = _ca(6)
+    expected = [ca.issue_credential(_user(i), key_bits=128).key for i in range(21)]
+    rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+    ca = _ca(6)
+    keys = [ca.issue_credential(_user(0), key_bits=128).key]  # no slot: no helper
+    assert ca._helper is None
+    _slots(monkeypatch, 1)
+    ca.pregenerate(20, key_bits=128)
+    helper = ca._helper
+    frames = _frames_after(helper, 20)
+    assert len(frames) == 20
+    searched, inline = _child_search(0.0)
+    monkeypatch.setattr(rsa, "_search_primes", searched)
+    keys += [ca.issue_credential(_user(i), key_bits=128).key for i in range(1, 21)]
+    assert not inline
+    assert [key.n for key in keys[1:]] == [p * q for _, p, q, _ in frames]
+    assert keys == expected
+    assert len(_frames_after(helper, rsa.AHEAD)) == rsa.AHEAD
+    del ca, helper
+    gc.collect()
+    assert not _mine()
+
+
+@pytest.mark.skipif(not memo.enabled(), reason="memo hits need the keygen memo")
+def test_a_stream_the_memo_replays_gets_no_helper(monkeypatch):
+    """Keys a CA gets from the keygen memo start no helper, and
+    ``pregenerate`` on such a stream forks none: the helper would search
+    keys no one takes.  The first key the memo lacks forks one."""
+    _slots(monkeypatch, 0)
+    ca = _ca(7)
+    expected = [ca.issue_credential(_user(i), key_bits=128).key for i in range(3)]
+    _slots(monkeypatch, 1)
+    ca = _ca(7)  # the same stream: every key so far comes from the memo
+    keys = [ca.issue_credential(_user(0), key_bits=128).key]
+    ca.pregenerate(20, key_bits=128)
+    keys += [ca.issue_credential(_user(i), key_bits=128).key for i in range(1, 3)]
+    assert keys == expected
+    assert ca._helper is None and not _mine()
+    ca.issue_credential(_user(3), key_bits=128)  # searched here: forks the helper
+    assert ca._helper is not None and list(_mine()) == [ca._helper.pid]
+    del ca
+    gc.collect()
     assert not _mine()
 
 
@@ -269,7 +339,8 @@ def test_owner_ahead_of_its_helper_drops_it_without_waiting(monkeypatch):
 
 def test_starved_helper_is_dropped_and_not_restarted(monkeypatch):
     """A helper that waits for a CPU longer than it runs is closed after
-    one poll, the key is searched inline, and its CA forks no other."""
+    one poll, the key is searched inline, and its CA forks no other for
+    its next keys."""
     _slots(monkeypatch, 0)
     rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
     ca = _ca(5)
@@ -295,6 +366,62 @@ def test_starved_helper_is_dropped_and_not_restarted(monkeypatch):
     assert ca._helper is helper and not _mine()
     del ca, helper
     gc.collect()
+
+
+def test_starved_ca_forks_again_after_ahead_inline_keys(monkeypatch):
+    """After a starvation the CA makes :data:`rsa.AHEAD` keys inline and
+    then forks again; after a second one, twice as many.  Keys, rng states
+    and tallies are those of a run with no helper."""
+    ahead = rsa.AHEAD
+    starved = (1, 4 + ahead)  # the issues on which a helper starves
+    # a helper forked after issue i searches with _search_primes as patched at i
+    search = {0: _child_search(5.0)[0],  # A: 5 s before each key
+              2: _child_search(5.0, fast=2)[0],  # B: two keys, then 5 s before each
+              5 + ahead: _child_search(0.0)[0]}  # C: every key at once
+    queued = rsa._queued_s
+    served = []
+    take = rsa.KeyHelper.take
+
+    def counting_take(self, memo_key):
+        found = take(self, memo_key)
+        served.append(found is not None)
+        return found
+
+    monkeypatch.setattr(rsa.KeyHelper, "take", counting_take)
+
+    def run(slots: int) -> tuple:
+        _slots(monkeypatch, slots)
+        rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
+        before = opcount.snapshot()
+        ca = _ca(8)
+        trace, forks, from_helper = [], {}, []
+        for i in range(7 + 3 * ahead):
+            if i in search:
+                monkeypatch.setattr(rsa, "_search_primes", search[i])
+            if i in starved:
+                monkeypatch.setattr(rsa, "_queued_s", lambda pid: time.monotonic())
+            served.clear()
+            key = ca.issue_credential(_user(i), key_bits=128).key
+            monkeypatch.setattr(rsa, "_queued_s", queued)
+            if i in starved and slots:
+                assert ca._helper.starved
+            trace.append((key.n, key.d, ca.rng.getstate()))
+            from_helper.append(any(served))
+            helper = ca._helper
+            if helper is not None and not helper.closed:
+                forks.setdefault(helper.pid, i)
+        tallies = opcount.since(before)
+        del ca, helper
+        gc.collect()
+        return trace, tallies, list(forks.values()), [i for i, hit in enumerate(from_helper) if hit]
+
+    expected = run(0)
+    assert expected[2:] == ([], [])
+    got = run(1)
+    assert got[:2] == expected[:2]
+    assert got[2] == [0, 1 + ahead, 4 + 3 * ahead]  # issues after which a helper was forked
+    assert got[3] == [2 + ahead, 3 + ahead, 5 + 3 * ahead, 6 + 3 * ahead]
+    assert not _mine()
 
 
 def _script_output(script: str) -> str:

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridftp.mode_e import Block, iter_blocks, plan_blocks, round_robin
+from repro.gridftp.mode_e import plan_blocks
 from repro.storage.data import LiteralData
 from repro.util.ranges import ByteRangeSet
+from tests.gridftp.mode_e_reference import Block, iter_blocks, round_robin
 
 
 @given(

@@ -11,11 +11,12 @@ markers), same promoted bytes, same synthetic-source bookkeeping.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridftp.mode_e import ModeEPlan, iter_blocks
+from repro.gridftp.mode_e import ModeEPlan
 from repro.gridftp.transfer import TransferEngine
 from repro.storage.data import LiteralData, PartialData, SyntheticData
 from repro.storage.dsi import WriteSink
 from repro.util.ranges import ByteRangeSet
+from tests.gridftp.mode_e_reference import iter_blocks
 
 
 class _NullBackend:
