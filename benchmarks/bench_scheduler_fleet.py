@@ -150,9 +150,8 @@ def build_fleet(seed: int, users: int, shards: int | None = None, trace: bool = 
     # with two or more CPUs each CA's niced key-search helper searches the
     # keys of the set-up's activations, one per user on each CA, while
     # set-up goes on: `pregenerate` returns at once and searches nothing.
-    # Asking for more keys than set-up draws would leave the helpers
-    # searching them during the timed drain.  Issued keys and tallies are
-    # the same either way: each key is still made when it is issued.
+    # Issued keys and tallies are the same either way: each key is still
+    # made when it is issued.
     ep_a.myproxy.ca.pregenerate(users)
     ep_b.myproxy.ca.pregenerate(users)
     return world, go, ep_a, ep_b

@@ -19,7 +19,7 @@ from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
 from repro.pki.policy import SigningPolicy
-from repro.pki.rsa import AHEAD, KeyHelper, PublicKey, generate_keypair, memoized
+from repro.pki.rsa import AHEAD, KeyHelper, PublicKey, generate_keypair
 from repro.sim.clock import Clock
 from repro.util.units import DAY, HOUR
 
@@ -103,28 +103,24 @@ class CertificateAuthority:
         return cert.signed_by(self.key)
 
     def pregenerate(self, count: int, key_bits: int = 512) -> None:
-        """Have the next ``count`` keys searched in idle time (MyProxy key
+        """Have the CA's next keys searched in idle time (MyProxy key
         pregeneration), and return at once.
 
         Real MyProxy servers pregenerate RSA key pairs in idle time so a
-        logon never waits on prime search.  This forks the CA's
-        :class:`~repro.pki.rsa.KeyHelper` where :meth:`issue_credential`
-        would, and lets a helper for ``key_bits`` search up to ``count``
-        keys beyond those this CA has taken from it.  It searches,
-        tallies and draws nothing itself: every key is still made by
-        :meth:`issue_credential` when it is issued, so the i-th issued
-        credential carries the identical key, and every tally, memo entry
-        and rng state is the same, whether or not it was pregenerated and
-        whatever the host's CPU count; only when the search runs moves.
-        Without a helper for ``key_bits``, or when the keygen memo holds
-        the next key (a replayed stream is never searched), it does
-        nothing.
+        logon never waits on prime search.  Unless ``count`` is 0 this
+        forks the CA's :class:`~repro.pki.rsa.KeyHelper` where
+        :meth:`issue_credential` would, and the helper searches the CA's
+        next ``key_bits`` keys, at most :data:`~repro.pki.rsa.AHEAD`
+        beyond those the CA has taken, while the caller goes on.  It
+        searches, tallies and draws nothing itself: every key is still
+        made by :meth:`issue_credential` when it is issued, so the i-th
+        issued credential carries the identical key, and every tally,
+        memo entry and rng state is the same, whether or not it was
+        pregenerated and whatever the host's CPU count; only when the
+        search runs moves.
         """
-        if memoized(key_bits, self.rng):
-            return
-        helper = self._live_helper(key_bits)
-        if helper is not None and helper.bits == key_bits:
-            helper.run_ahead(count)
+        if count:
+            self._fork_helper(key_bits)
 
     def issue_credential(
         self,
@@ -139,11 +135,9 @@ class CertificateAuthority:
         lifetime) and what site admins did manually in the conventional
         workflow (with a long one).  The key is searched by the CA's
         helper when it searches that key (this call waits for it) and
-        here otherwise.  A key searched here starts a
+        here otherwise.  A CA with no live helper then starts a
         :class:`~repro.pki.rsa.KeyHelper` if a slot is free, so the next
-        keys are searched on another CPU; a key from the keygen memo
-        starts none, since a stream the memo replays would leave the
-        helper searching keys no one takes.  After a helper starved (its
+        keys are searched on another CPU.  After a helper starved (its
         host was too busy to run it), the CA first makes
         :data:`~repro.pki.rsa.AHEAD` keys without one, twice as many
         after each further starvation, so a host that stays busy pays for
@@ -151,28 +145,22 @@ class CertificateAuthority:
         """
         helper = self._helper
         live = helper is not None and not helper.closed
-        replayed = not live and memoized(key_bits, self.rng)
         key = generate_keypair(key_bits, self.rng, helper)
         if live and helper.starved:
             self._starvations += 1
             self._inline_keys = AHEAD << (self._starvations - 1)
         elif not live and self._inline_keys:
             self._inline_keys -= 1
-        if not replayed:
-            self._live_helper(key_bits)
+        self._fork_helper(key_bits)
         cert = self.issue(subject, key.public, lifetime=lifetime, extensions=extensions)
         return Credential(chain=(cert, self.certificate), key=key)
 
-    def _live_helper(self, key_bits: int) -> KeyHelper | None:
-        """The CA's live helper, else a new one for ``key_bits`` when a slot
-        is free and no key is left to make without one."""
+    def _fork_helper(self, key_bits: int) -> None:
+        """Start a helper for ``key_bits`` if a slot is free, unless the CA
+        has a live one or keys left to make without one."""
         helper = self._helper
-        if helper is not None and not helper.closed:
-            return helper
-        if self._inline_keys:
-            return None
-        self._helper = KeyHelper.start(key_bits, self.rng, owner=self)
-        return self._helper
+        if (helper is None or helper.closed) and not self._inline_keys:
+            self._helper = KeyHelper.start(key_bits, self.rng, owner=self)
 
 
 def self_signed_credential(

@@ -27,10 +27,10 @@ but it skips a third of the full-width modular exponentiations:
   exponentiations; a composite runs the remaining rounds as usual.
 
 On a host with two or more CPUs, :class:`KeyHelper` searches one rng's
-key stream in a forked process, ahead of its owner; :func:`generate_keypair`
-takes a key from it only for the exact rng state it would start from, so
-the key, the rng post-state, the memo and the tallies are those of an
-inline search.
+key stream in a forked process; :func:`generate_keypair` takes a key
+from it only for the exact rng state it would start from, so the key,
+the rng post-state, the memo and the tallies are those of an inline
+search.
 
 No padding scheme is implemented (the digest is orders of magnitude
 smaller than the modulus); do not reuse outside this simulation.
@@ -304,11 +304,6 @@ def _packed_key(bits: int, packed: tuple[int, bytes, float | None]) -> tuple:
     return (bits, version, hashlib.sha256(words).digest(), gauss_next)
 
 
-def memoized(bits: int, rng: random.Random) -> bool:
-    """Whether the keygen memo holds the next ``bits``-bit key of ``rng``'s stream."""
-    return _state_key(bits, rng) in _KEYGEN_MEMO
-
-
 def _search_primes(bits: int, rng: random.Random) -> tuple[int, int]:
     """The primes (p, q) of the next ``bits``-bit key in ``rng``'s stream."""
     half = bits // 2
@@ -385,15 +380,12 @@ class KeyHelper:
 
     The child holds a copy of the rng and searches its next keys in
     stream order.  Each goes back over a pipe as one length-prefixed
-    marshal of (memo key of the pre-state, p, q, packed post-state).  The
-    child searches one key per credit byte.  It starts with
-    :data:`AHEAD`, and the parent answers each frame it uses or drops
-    with one byte, so the child stays :data:`AHEAD` keys ahead of its
-    owner; :meth:`run_ahead` grants more at once, and the parent then
-    withholds answers until the lead is back at :data:`AHEAD`.  The child
-    exits when the credit pipe closes or the key pipe breaks; the parent
-    kills and reaps it when its owner is collected, at exit, or when
-    :meth:`take` finds it out of step, stopped or starved.
+    marshal of (memo key of the pre-state, p, q, packed post-state); the
+    parent returns one credit byte per frame it uses or drops, and the
+    child searches at most :data:`AHEAD` keys beyond its credit.  The
+    child exits when the credit pipe closes or the key pipe breaks; the
+    parent kills and reaps it when its owner is collected, at exit, or
+    when :meth:`take` finds it out of step, stopped or starved.
     """
 
     def __init__(self, pid: int, bits: int, at: tuple, keys_fd: int, credit_fd: int,
@@ -404,7 +396,6 @@ class KeyHelper:
         self.starved = False
         self._keys, self._credit, self._buf = keys_fd, credit_fd, b""
         self._frames: deque = deque()
-        self._lead = AHEAD  # keys granted beyond the frames taken off the queue
         self._finalizer = weakref.finalize(owner, self.close)
 
     @classmethod
@@ -453,20 +444,6 @@ class KeyHelper:
             return True
         return False
 
-    def run_ahead(self, count: int) -> None:
-        """Let the child search up to ``count`` keys beyond the frames its
-        owner has taken (at most ``select.PIPE_BUF``, so the credit pipe never
-        fills); as the owner takes them the lead falls back to :data:`AHEAD`."""
-        extra = min(count, select.PIPE_BUF) - self._lead
-        if extra <= 0 or self.pid is None:
-            return
-        try:
-            os.write(self._credit, bytes(extra))
-        except OSError:
-            self.close()  # the child is gone
-            return
-        self._lead += extra
-
     def take(self, memo_key: tuple) -> tuple[int, int, tuple] | None:
         """(p, q, packed post-state) of the key searched from ``memo_key``'s
         state, or None once the helper is closed.
@@ -485,10 +462,7 @@ class KeyHelper:
                 running = self._read()
                 while self._frames:
                     frame = self._frames.popleft()
-                    if self._lead > AHEAD:
-                        self._lead -= 1
-                    else:
-                        os.write(self._credit, b"\0")
+                    os.write(self._credit, b"\0")
                     self._at = _packed_key(self.bits, frame[3])
                     if frame[0] == memo_key:
                         return frame[1:]

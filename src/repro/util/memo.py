@@ -50,10 +50,6 @@ class Memo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        """Whether ``key`` is stored; counts no lookup and keeps the LRU order."""
-        return enabled() and key in self._entries
-
     def get(self, key: Hashable, valid: Callable[[Any], bool] | None = None) -> Any:
         """The value stored under ``key``, or None on a miss.
 

@@ -320,4 +320,4 @@ def test_ca_key_pregeneration_is_bit_identical():
         ]
 
     assert issue(pregenerate=0) == issue(pregenerate=5)
-    assert issue(pregenerate=0) == issue(pregenerate=2)  # pool underrun
+    assert issue(pregenerate=0) == issue(pregenerate=2)  # fewer than are issued

@@ -3,9 +3,9 @@
 ``KeyHelper`` searches a CA's key stream in a child process, and
 ``generate_keypair`` takes a key from it only for the exact (bits, rng
 state) it would search from, waiting only while the helper searches
-exactly that key and gets a CPU; ``pregenerate`` only lets a helper run
-further ahead.  Runs with zero, one or two helper slots must therefore
-be indistinguishable: the same keys, the same CA rng state after every
+exactly that key and gets a CPU; ``pregenerate`` only forks a helper.
+Runs with zero, one or two helper slots must therefore be
+indistinguishable: the same keys, the same CA rng state after every
 call, the same keygen-memo entries in the same order and the same op
 tallies, whatever the helpers do meanwhile (run ahead, fall behind, are
 stopped, killed or starved).
@@ -54,12 +54,11 @@ _OTHERS: set[int] = set()
 
 @pytest.fixture(autouse=True)
 def others_helpers(monkeypatch):
-    """Note the helpers that are not this test's; an empty keygen memo, so
-    no other test's keys stop a CA here from forking, restored after."""
+    """Note the helpers that are not this test's; the keygen memo restored after."""
     gc.collect()  # helpers of garbage worlds close now, not halfway through the test
     _OTHERS.clear()
     _OTHERS.update(rsa._HELPERS)
-    monkeypatch.setattr(rsa, "_KEYGEN_MEMO", Memo("rsa.keygen", 256))
+    monkeypatch.setattr(rsa, "_KEYGEN_MEMO", rsa._KEYGEN_MEMO)
 
 
 def _slots(monkeypatch, n: int) -> None:
@@ -149,7 +148,7 @@ def _drive(seed: int, steps: list[tuple[int, str]], bits: int) -> tuple:
             issue(c, bits if step == "issue" else bits + 32)
         elif step == "pregenerate":
             state = ca.rng.getstate()
-            ca.pregenerate(rsa.AHEAD + 2, key_bits=bits)  # beyond the helper's usual lead
+            ca.pregenerate(2, key_bits=bits)
             assert ca.rng.getstate() == state
             trace.append((c, step, state))
         elif step == "wait":
@@ -234,24 +233,11 @@ def test_pregenerate_on_a_live_helper_searches_no_key_inline(monkeypatch):
     assert not _mine()
 
 
-def _frames_after(helper: rsa.KeyHelper, count: int) -> list:
-    """The frames waiting once the helper has sent ``count`` (at most 30 s),
-    and then had time to send more."""
-    deadline = time.monotonic() + 30.0
-    while len(helper._frames) < count and time.monotonic() < deadline:
-        select.select([helper._keys], [], [], 1.0)
-        assert helper._read()
-    time.sleep(0.2)  # a 128-bit key takes about a millisecond: time for more
-    helper._read()
-    return list(helper._frames)
-
-
-def test_pregenerate_lets_the_helper_run_ahead_beyond_its_usual_lead(monkeypatch):
-    """On a CA that has issued one key, ``pregenerate(20)`` forks a helper
-    that delivers 20 keys with no issue in between, more than
-    :data:`rsa.AHEAD`, and stops there; the CA's next 20 keys are those
-    frames, and then the helper runs :data:`rsa.AHEAD` ahead again."""
-    assert 20 > rsa.AHEAD
+def test_pregenerate_forks_a_helper_that_searches_ahead(monkeypatch):
+    """On a CA without a helper, ``pregenerate`` forks one and returns; with
+    no issue in between it searches :data:`rsa.AHEAD` keys and stops there.
+    The CA's next keys start with those frames, none is searched inline,
+    and they equal a zero-slot run's."""
     _slots(monkeypatch, 0)
     rsa._KEYGEN_MEMO = Memo("rsa.keygen", 256)
     ca = _ca(6)
@@ -261,40 +247,24 @@ def test_pregenerate_lets_the_helper_run_ahead_beyond_its_usual_lead(monkeypatch
     keys = [ca.issue_credential(_user(0), key_bits=128).key]  # no slot: no helper
     assert ca._helper is None
     _slots(monkeypatch, 1)
-    ca.pregenerate(20, key_bits=128)
-    helper = ca._helper
-    frames = _frames_after(helper, 20)
-    assert len(frames) == 20
     searched, inline = _child_search(0.0)
     monkeypatch.setattr(rsa, "_search_primes", searched)
+    ca.pregenerate(20, key_bits=128)
+    helper = ca._helper
+    assert helper is not None and list(_mine()) == [helper.pid]
+    deadline = time.monotonic() + 30.0
+    while len(helper._frames) < rsa.AHEAD and time.monotonic() < deadline:
+        select.select([helper._keys], [], [], 1.0)
+        assert helper._read()
+    time.sleep(0.2)  # a 128-bit key takes about a millisecond: time for more
+    helper._read()
+    frames = list(helper._frames)
+    assert len(frames) == rsa.AHEAD
     keys += [ca.issue_credential(_user(i), key_bits=128).key for i in range(1, 21)]
     assert not inline
-    assert [key.n for key in keys[1:]] == [p * q for _, p, q, _ in frames]
+    assert [key.n for key in keys[1:1 + rsa.AHEAD]] == [p * q for _, p, q, _ in frames]
     assert keys == expected
-    assert len(_frames_after(helper, rsa.AHEAD)) == rsa.AHEAD
     del ca, helper
-    gc.collect()
-    assert not _mine()
-
-
-@pytest.mark.skipif(not memo.enabled(), reason="memo hits need the keygen memo")
-def test_a_stream_the_memo_replays_gets_no_helper(monkeypatch):
-    """Keys a CA gets from the keygen memo start no helper, and
-    ``pregenerate`` on such a stream forks none: the helper would search
-    keys no one takes.  The first key the memo lacks forks one."""
-    _slots(monkeypatch, 0)
-    ca = _ca(7)
-    expected = [ca.issue_credential(_user(i), key_bits=128).key for i in range(3)]
-    _slots(monkeypatch, 1)
-    ca = _ca(7)  # the same stream: every key so far comes from the memo
-    keys = [ca.issue_credential(_user(0), key_bits=128).key]
-    ca.pregenerate(20, key_bits=128)
-    keys += [ca.issue_credential(_user(i), key_bits=128).key for i in range(1, 3)]
-    assert keys == expected
-    assert ca._helper is None and not _mine()
-    ca.issue_credential(_user(3), key_bits=128)  # searched here: forks the helper
-    assert ca._helper is not None and list(_mine()) == [ca._helper.pid]
-    del ca
     gc.collect()
     assert not _mine()
 
