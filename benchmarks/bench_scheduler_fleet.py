@@ -33,10 +33,12 @@ flight recorder and SLO engine (``World.enable_observability``).
 ``--overhead-check`` prices three telemetry levels, best-of-2 each:
 ``off`` (the default world), ``trace`` (``World(trace=True)``) and
 ``flight`` (``trace`` plus ``enable_observability``).  It prints every
-level's jobs/sec and its tax against ``off``.  It fails if the flight
-level's jobs/sec falls more than ``OVERHEAD_TOLERANCE`` (default 10%)
-below the trace level's — the "observability is near-free" gate — or
-if any two levels disagree on the virtual outcome.
+level's jobs/sec and its tax against ``off``.  The flight recorder
+folds the event log only when read, after the timed drain, so the
+flight-vs-trace gap is the SLO engine's event subscription.  It fails
+if the flight level's jobs/sec falls more than ``OVERHEAD_TOLERANCE``
+(default 10%) below the trace level's — the "observability is
+near-free" gate — or if any two levels disagree on the virtual outcome.
 
 Sharded control plane (DESIGN.md §14)::
 

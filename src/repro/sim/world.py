@@ -71,8 +71,9 @@ class World:
         # present so recovery code can route restart markers through it.
         self.chaos = FaultInjector(self)
         # Fleet observability (flight recorder + SLO engine) is opt-in:
-        # both stay None until enable_observability() attaches them, so a
-        # plain world pays nothing for the subsystem.
+        # both stay None until enable_observability() attaches them.  The
+        # recorder reads the event log when asked; the SLO engine is the
+        # one that subscribes to it, so a plain world pays nothing.
         self.flight_recorder = None
         self.slo = None
 
@@ -130,7 +131,6 @@ class World:
     def enable_observability(
         self,
         *,
-        flight_capacity: int = 4096,
         slos=None,
         queue_wait_slo_s: float = 600.0,
     ):
@@ -139,7 +139,10 @@ class World:
         Idempotent: a second call returns the already-attached pair.
         ``slos`` overrides the default objective set; ``queue_wait_slo_s``
         tunes the stock queue-wait latency cut when defaults are used.
-        Flight recording is built on spans and events, so a world without
+        The SLO engine subscribes to the event log and sees only the
+        events logged after this call; the flight recorder folds the
+        log when read, so its records cover every event the log holds.
+        Both are built on spans and events, so a world without
         ``trace=True`` raises :class:`~repro.errors.TelemetryNotRecordedError`.
         """
         if not self.trace:
@@ -154,7 +157,7 @@ class World:
         from repro.telemetry.slo import SLOEngine, default_slos, wire_slos
 
         if self.flight_recorder is None:
-            self.flight_recorder = FlightRecorder(self, capacity=flight_capacity)
+            self.flight_recorder = FlightRecorder(self)
         if self.slo is None:
             if slos is None:
                 slos = default_slos(queue_wait_slo_s=queue_wait_slo_s)

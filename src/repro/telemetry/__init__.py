@@ -8,9 +8,9 @@ Four pillars (see DESIGN.md "Observability"):
 * :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms with Prometheus-style text exposition and optional
   trace-id exemplars per bucket;
-* :mod:`repro.telemetry.flightrecorder` — the bounded per-job black
-  box: causal records assembled from scheduler/recovery/transfer
-  events, keyed by trace id;
+* :mod:`repro.telemetry.flightrecorder` — the per-job black box:
+  causal records folded from the event log's scheduler/recovery/
+  transfer events when read, keyed by trace id;
 * :mod:`repro.telemetry.slo` — declarative objectives with
   multi-window burn-rate alerting over virtual time.
 

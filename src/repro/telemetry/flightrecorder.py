@@ -3,9 +3,9 @@
 Operating a hosted transfer service means answering "what happened to
 *this* job?" long after it ran — why was its queue wait at p99, which
 worker crashed under it, how many restart markers did recovery absorb.
-The :class:`FlightRecorder` assembles that answer passively: it
-subscribes to the world's :class:`~repro.util.logging.EventLog` and
-folds scheduler / recovery / transfer events into one causal
+The :class:`FlightRecorder` answers from what the world already keeps:
+when read, it folds the scheduler / recovery / transfer events of the
+world's :class:`~repro.util.logging.EventLog` into one causal
 :class:`FlightRecord` per task — submit → admission verdict → queue
 (with its fair-share lane virtual start tag) → claim/lease → dispatch →
 every retry / restart-marker / breaker event → completion.
@@ -14,36 +14,38 @@ Correlation works in two steps.  Scheduler events carry an explicit
 ``task=`` field and bind directly.  Recovery and transfer events carry
 no task field, but they fire *inside* the scheduler's claim span, so
 their ``trace_id`` matches the trace the scheduler bound to the task at
-dispatch time (the ``scheduler.dispatch`` event) — the recorder keeps a
-``trace_id → task_id`` index and attaches them causally.  The submit
+dispatch time (the ``scheduler.dispatch`` event) — the fold keeps a
+``trace_id → record`` index and attaches them causally.  The submit
 span's trace id becomes the record's primary :attr:`FlightRecord.trace_id`,
 which is exactly the id histograms capture as exemplars, so a p99
 bucket's exemplar resolves to a full flight record via :meth:`by_trace`.
 
-The ring is bounded and seed-deterministic: ``capacity`` records are
-retained, completed records evicted oldest-first before in-flight ones;
-per-record event lists are bounded too (dropped counts are kept).  The
-whole store dumps as JSONL — the black box CI uploads when a chaos
-matrix job fails.  Nothing here touches the wall clock, and a world
-without an attached recorder pays zero cost.
+The records are a view of the log: reading them needs
+``World(trace=True)`` (otherwise it raises
+:class:`~repro.errors.TelemetryNotRecordedError`, as the log does), and
+the log's ``event_capacity`` bounds them — a task whose early events the
+log dropped keeps a partial record that is not
+:attr:`~FlightRecord.complete`.  Each record keeps at most
+:data:`EVENTS_PER_RECORD` events (dropped counts are kept).  The log is
+folded at most once per log state, so reads with no event logged
+between them return the same record objects.  The whole store dumps as
+JSONL — the black box CI uploads when a chaos matrix job fails.  Nothing
+here touches the wall clock or runs per event.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.util.logging import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
 
-#: default bound on retained records
-DEFAULT_CAPACITY = 4096
-#: default bound on events kept per record
-DEFAULT_EVENTS_PER_RECORD = 256
+#: bound on events kept per record
+EVENTS_PER_RECORD = 256
 
 #: event-category prefixes that land in flight records when trace-bound
 _CAUSAL_PREFIXES = (
@@ -157,104 +159,33 @@ class FlightRecord:
         }
 
 
-class FlightRecorder:
-    """Event-log subscriber assembling bounded per-task flight records."""
+def _append(rec: FlightRecord, ev: Event) -> None:
+    if len(rec.events) >= EVENTS_PER_RECORD:
+        rec.dropped_events += 1
+        return
+    rec.events.append(FlightEvent(ev.time, ev.category, dict(ev.fields)))
 
-    def __init__(
-        self,
-        world: "World",
-        capacity: int = DEFAULT_CAPACITY,
-        events_per_record: int = DEFAULT_EVENTS_PER_RECORD,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if events_per_record < 1:
-            raise ValueError("events_per_record must be >= 1")
-        self.world = world
-        self.capacity = capacity
-        self.events_per_record = events_per_record
-        self._records: dict[str, FlightRecord] = {}
-        self._by_trace: dict[str, str] = {}
-        #: task ids that reached a terminal state, in completion order
-        self._completed_order: deque[str] = deque()
-        #: admission rejections (no task id exists for these)
-        self.rejections: deque[FlightEvent] = deque(maxlen=256)
-        metrics = world.metrics
-        self._records_g = metrics.gauge(
-            "flightrecorder_records", "Flight records currently retained")
-        self._evicted_c = metrics.counter(
-            "flightrecorder_evicted_total", "Flight records dropped by the ring bound")
-        self._records_g.set(0)
-        self._evicted_c.inc(0)
-        world.log.subscribe(self._on_event)
-        self._attached = True
 
-    # -- lifecycle ---------------------------------------------------------
+def _bind_trace(by_trace: dict[str, FlightRecord], rec: FlightRecord,
+                trace_id: str | None) -> None:
+    if trace_id and trace_id not in rec.trace_ids:
+        rec.trace_ids.append(trace_id)
+        by_trace[trace_id] = rec
 
-    def detach(self) -> None:
-        """Stop recording (the assembled records stay queryable)."""
-        if self._attached:
-            self.world.log.unsubscribe(self._on_event)
-            self._attached = False
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    # -- assembly ----------------------------------------------------------
-
-    def _record_for(self, task_id: str) -> FlightRecord:
-        rec = self._records.get(task_id)
-        if rec is None:
-            rec = self._records[task_id] = FlightRecord(task_id=task_id)
-            self._evict()
-            self._records_g.set(len(self._records))
-        return rec
-
-    def _evict(self) -> None:
-        while len(self._records) > self.capacity:
-            victim = None
-            while self._completed_order:
-                candidate = self._completed_order.popleft()
-                if candidate in self._records:
-                    victim = candidate
-                    break
-            if victim is None:
-                # nothing terminal to drop: evict the oldest record
-                victim = next(iter(self._records))
-            self._drop(victim)
-            self._evicted_c.inc()
-
-    def _drop(self, task_id: str) -> None:
-        rec = self._records.pop(task_id, None)
-        if rec is None:
-            return
-        for tid in rec.trace_ids:
-            if self._by_trace.get(tid) == task_id:
-                del self._by_trace[tid]
-
-    def _bind_trace(self, rec: FlightRecord, trace_id: str | None) -> None:
-        if trace_id and trace_id not in rec.trace_ids:
-            rec.trace_ids.append(trace_id)
-            self._by_trace[trace_id] = rec.task_id
-
-    def _append(self, rec: FlightRecord, ev: Event) -> None:
-        if len(rec.events) >= self.events_per_record:
-            rec.dropped_events += 1
-            return
-        rec.events.append(FlightEvent(ev.time, ev.category, dict(ev.fields)))
-
-    def _on_event(self, ev: Event) -> None:
+def _fold(events: Iterable[Event]) -> tuple[
+        dict[str, FlightRecord], dict[str, FlightRecord], list[FlightEvent]]:
+    """Records by task id, records by bound trace id, and rejections."""
+    records: dict[str, FlightRecord] = {}
+    by_trace: dict[str, FlightRecord] = {}
+    rejections: list[FlightEvent] = []
+    for ev in events:
         cat = ev.category
-        if cat.startswith("scheduler."):
-            self._on_scheduler_event(ev)
-            return
-        if cat.startswith(_CAUSAL_PREFIXES):
-            tid = ev.trace_id
-            if tid is not None:
-                task_id = self._by_trace.get(tid)
-                if task_id is not None:
-                    rec = self._records[task_id]
-                    self._append(rec, ev)
+        if not cat.startswith("scheduler."):
+            if ev.trace_id is not None and cat.startswith(_CAUSAL_PREFIXES):
+                rec = by_trace.get(ev.trace_id)
+                if rec is not None:
+                    _append(rec, ev)
                     if cat == "recovery.fault":
                         rec.recovery_faults += 1
                     elif cat in ("recovery.marker_corrupt",
@@ -262,19 +193,18 @@ class FlightRecorder:
                         rec.marker_corruptions += 1
                     elif cat == "globusonline.session.reused":
                         rec.session_reuses += 1
-
-    def _on_scheduler_event(self, ev: Event) -> None:
+            continue
         fields = ev.fields
-        if ev.category == "scheduler.rejected":
-            self.rejections.append(
-                FlightEvent(ev.time, ev.category, dict(fields)))
-            return
+        if cat == "scheduler.rejected":
+            rejections.append(FlightEvent(ev.time, cat, dict(fields)))
+            continue
         task_id = fields.get("task")
         if not task_id:
-            return
-        rec = self._record_for(task_id)
-        self._append(rec, ev)
-        cat = ev.category
+            continue
+        rec = records.get(task_id)
+        if rec is None:
+            rec = records[task_id] = FlightRecord(task_id=task_id)
+        _append(rec, ev)
         if cat == "scheduler.submitted":
             rec.user = fields.get("user", rec.user)
             rec.job_id = fields.get("job", rec.job_id)
@@ -286,7 +216,7 @@ class FlightRecorder:
             rec.submitted_at = ev.time
             if ev.trace_id is not None and not rec.trace_id:
                 rec.trace_id = ev.trace_id
-            self._bind_trace(rec, ev.trace_id)
+            _bind_trace(by_trace, rec, ev.trace_id)
         elif cat == "scheduler.claimed":
             if rec.claimed_at is None:
                 rec.claimed_at = ev.time
@@ -295,44 +225,76 @@ class FlightRecorder:
         elif cat == "scheduler.dispatch":
             # the claim span's trace: recovery/transfer events of this
             # execution carry it, and bind causally through it
-            self._bind_trace(rec, ev.trace_id)
+            _bind_trace(by_trace, rec, ev.trace_id)
         elif cat == "scheduler.task_done":
             rec.status = "done"
             rec.completed_at = ev.time
             rec.delivered_bytes = fields.get("bytes", rec.delivered_bytes)
             rec.attempts = fields.get("attempts", rec.attempts)
-            self._completed_order.append(rec.task_id)
         elif cat == "scheduler.task_failed":
             rec.status = "failed"
             rec.completed_at = ev.time
             rec.error = str(fields.get("error", ""))
-            self._completed_order.append(rec.task_id)
         elif cat == "scheduler.lease_expired":
             rec.status = "queued"
+    return records, by_trace, rejections
+
+
+class FlightRecorder:
+    """Per-task flight records, folded from the world's event log on read."""
+
+    def __init__(self, world: "World") -> None:
+        self.world = world
+        #: the log's (length, dropped count) and last event at the last fold
+        self._folded_at: tuple[int, int] | None = None
+        self._last: Event | None = None
+        self._records: dict[str, FlightRecord] = {}
+        self._by_trace: dict[str, FlightRecord] = {}
+        self._rejections: list[FlightEvent] = []
+
+    def _view(self) -> dict[str, FlightRecord]:
+        """The records, refolded if an event was logged since the last fold."""
+        log = self.world.log
+        events = log._kept()  # raises TelemetryNotRecordedError untraced
+        state = (len(events), log.dropped_events)
+        last = events[-1] if events else None
+        if state != self._folded_at or last is not self._last:
+            self._records, self._by_trace, self._rejections = _fold(events)
+            self._folded_at, self._last = state, last
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._view())
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def rejections(self) -> list[FlightEvent]:
+        """Admission rejections, oldest first (no task id exists for these)."""
+        self._view()
+        return self._rejections
+
     def record(self, task_id: str) -> FlightRecord | None:
         """The flight record for one task id, or None."""
-        return self._records.get(task_id)
+        return self._view().get(task_id)
 
     def by_trace(self, trace_id: str) -> FlightRecord | None:
         """Resolve any bound trace id (e.g. a metric exemplar) to its record."""
-        task_id = self._by_trace.get(trace_id)
-        return self._records.get(task_id) if task_id is not None else None
+        self._view()
+        return self._by_trace.get(trace_id)
 
     def records(self) -> Iterator[FlightRecord]:
-        """Every retained record, oldest first."""
-        return iter(self._records.values())
+        """Every record, oldest first."""
+        return iter(self._view().values())
 
     def for_user(self, user: str) -> list[FlightRecord]:
         """Records belonging to one user."""
-        return [r for r in self._records.values() if r.user == user]
+        return [r for r in self._view().values() if r.user == user]
 
     def for_endpoint(self, endpoint: str) -> list[FlightRecord]:
         """Records touching one endpoint (as source or destination)."""
         return [
-            r for r in self._records.values()
+            r for r in self._view().values()
             if endpoint in (r.src_endpoint, r.dst_endpoint)
         ]
 
@@ -341,7 +303,7 @@ class FlightRecorder:
         if by not in ("total_s", "queue_wait_s"):
             raise ValueError("by must be 'total_s' or 'queue_wait_s'")
         ranked = sorted(
-            self._records.values(),
+            self._view().values(),
             key=lambda r: (-getattr(r, by), r.task_id),
         )
         return ranked[:n]
@@ -352,7 +314,7 @@ class FlightRecorder:
         """Every record as JSON lines — the black-box dump."""
         return "\n".join(
             json.dumps(rec.to_dict(), sort_keys=True, default=str)
-            for rec in self._records.values()
+            for rec in self._view().values()
         )
 
     def dump(self, path: str) -> int:

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
+    from repro.telemetry.metrics import Counter, Gauge
     from repro.util.logging import Event
 
 
@@ -147,10 +148,16 @@ class _WindowState:
 
 
 class _SloState:
-    __slots__ = ("spec", "windows", "alert_active", "last_bad_trace",
-                 "good_total", "bad_total", "alerts_fired")
+    """One objective's rolling windows and its metric series, bound once."""
 
-    def __init__(self, spec: ServiceObjective) -> None:
+    __slots__ = ("spec", "windows", "alert_active", "last_bad_trace",
+                 "good_total", "bad_total", "alerts_fired", "longest",
+                 "fastest", "burn_g", "budget_g", "alert_g", "good_c",
+                 "bad_c", "alerts_c")
+
+    def __init__(self, spec: ServiceObjective, burn_g: "Gauge",
+                 budget_g: "Gauge", alert_g: "Gauge", events_c: "Counter",
+                 alerts_c: "Counter") -> None:
         self.spec = spec
         self.windows = [_WindowState() for _ in spec.windows]
         self.alert_active = False
@@ -158,6 +165,25 @@ class _SloState:
         self.good_total = 0
         self.bad_total = 0
         self.alerts_fired = 0
+        spans = [w.window_s for w in spec.windows]
+        # the budget is read off the longest window; alerts clear with the fastest
+        self.longest = spans.index(max(spans))
+        self.fastest = spans.index(min(spans))
+        name = spec.name
+        self.burn_g = [burn_g.labels(slo=name, window=w.label)
+                       for w in spec.windows]
+        self.budget_g = budget_g.labels(slo=name)
+        self.alert_g = alert_g.labels(slo=name)
+        self.good_c = events_c.labels(slo=name, outcome="good")
+        self.bad_c = events_c.labels(slo=name, outcome="bad")
+        self.alerts_c = alerts_c.labels(slo=name)
+        self.alert_g.set(0)
+        self.good_c.inc(0)
+        self.bad_c.inc(0)
+        self.alerts_c.inc(0)
+        self.budget_g.set(1.0)
+        for child in self.burn_g:
+            child.set(0.0)
 
 
 class SLOEngine:
@@ -173,34 +199,28 @@ class SLOEngine:
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names in {names}")
-        self._states: dict[str, _SloState] = {
-            spec.name: _SloState(spec) for spec in specs
-        }
         metrics = world.metrics
-        self._burn_g = metrics.gauge(
-            "slo_burn_rate",
-            "Error-budget burn-rate multiple per rolling window",
-            labelnames=("slo", "window"))
-        self._budget_g = metrics.gauge(
-            "slo_error_budget_remaining",
-            "Fraction of the error budget left in the longest window",
-            labelnames=("slo",))
-        self._alert_g = metrics.gauge(
-            "slo_alert_active", "1 while the SLO's burn-rate alert is firing",
-            labelnames=("slo",))
-        self._events_c = metrics.counter(
-            "slo_events_total", "SLO samples ingested, by outcome",
-            labelnames=("slo", "outcome"))
-        self._alerts_c = metrics.counter(
-            "slo_alerts_total", "Burn-rate alerts fired", labelnames=("slo",))
-        for spec in specs:
-            self._alert_g.set(0, slo=spec.name)
-            self._events_c.inc(0, slo=spec.name, outcome="good")
-            self._events_c.inc(0, slo=spec.name, outcome="bad")
-            self._alerts_c.inc(0, slo=spec.name)
-            self._budget_g.set(1.0, slo=spec.name)
-            for w in spec.windows:
-                self._burn_g.set(0.0, slo=spec.name, window=w.label)
+        series = (
+            metrics.gauge(
+                "slo_burn_rate",
+                "Error-budget burn-rate multiple per rolling window",
+                labelnames=("slo", "window")),
+            metrics.gauge(
+                "slo_error_budget_remaining",
+                "Fraction of the error budget left in the longest window",
+                labelnames=("slo",)),
+            metrics.gauge(
+                "slo_alert_active", "1 while the SLO's burn-rate alert is firing",
+                labelnames=("slo",)),
+            metrics.counter(
+                "slo_events_total", "SLO samples ingested, by outcome",
+                labelnames=("slo", "outcome")),
+            metrics.counter(
+                "slo_alerts_total", "Burn-rate alerts fired", labelnames=("slo",)),
+        )
+        self._states: dict[str, _SloState] = {
+            spec.name: _SloState(spec, *series) for spec in specs
+        }
 
     # -- declaration ------------------------------------------------------
 
@@ -230,9 +250,9 @@ class SLOEngine:
         state.good_total += good
         state.bad_total += bad
         if good:
-            self._events_c.inc(good, slo=name, outcome="good")
+            state.good_c.inc(good)
         if bad:
-            self._events_c.inc(bad, slo=name, outcome="bad")
+            state.bad_c.inc(bad)
             if trace_id is not None:
                 state.last_bad_trace = trace_id
         for wstate, window in zip(state.windows, state.spec.windows):
@@ -258,22 +278,21 @@ class SLOEngine:
         now = self.world.now
         burning = True
         burns: list[float] = []
-        for wstate, window in zip(state.windows, spec.windows):
+        for wstate, window, burn_g in zip(state.windows, spec.windows,
+                                          state.burn_g):
             wstate.prune(now, window.window_s)
             burn = wstate.error_rate() / budget
             burns.append(burn)
-            self._burn_g.set(burn, slo=spec.name, window=window.label)
+            burn_g.set(burn)
             if wstate.total < spec.min_events or burn < window.threshold:
                 burning = False
-        longest = max(range(len(spec.windows)),
-                      key=lambda i: spec.windows[i].window_s)
-        remaining = 1.0 - state.windows[longest].error_rate() / budget
-        self._budget_g.set(remaining, slo=spec.name)
+        remaining = 1.0 - state.windows[state.longest].error_rate() / budget
+        state.budget_g.set(remaining)
         if burning and not state.alert_active:
             state.alert_active = True
             state.alerts_fired += 1
-            self._alert_g.set(1, slo=spec.name)
-            self._alerts_c.inc(slo=spec.name)
+            state.alert_g.set(1)
+            state.alerts_c.inc()
             self.world.emit(
                 "slo.alert_fired", f"SLO {spec.name} is burning its error budget",
                 slo=spec.name,
@@ -285,11 +304,10 @@ class SLOEngine:
             )
         elif state.alert_active:
             # clear with the fastest window: recovery shows there first
-            fastest = min(range(len(spec.windows)),
-                          key=lambda i: spec.windows[i].window_s)
+            fastest = state.fastest
             if burns[fastest] < spec.windows[fastest].threshold:
                 state.alert_active = False
-                self._alert_g.set(0, slo=spec.name)
+                state.alert_g.set(0)
                 self.world.emit(
                     "slo.alert_cleared", f"SLO {spec.name} burn subsided",
                     slo=spec.name,
@@ -314,8 +332,6 @@ class SLOEngine:
                 wstate.prune(now, window.window_s)
                 burns[window.label] = round(
                     wstate.error_rate() / spec.budget, 3)
-            longest = max(range(len(spec.windows)),
-                          key=lambda i: spec.windows[i].window_s)
             out.append({
                 "slo": spec.name,
                 "objective": spec.objective,
@@ -323,7 +339,8 @@ class SLOEngine:
                 "bad": state.bad_total,
                 "burn": burns,
                 "budget_remaining": round(
-                    1.0 - state.windows[longest].error_rate() / spec.budget, 3),
+                    1.0 - state.windows[state.longest].error_rate() / spec.budget,
+                    3),
                 "alert": state.alert_active,
                 "alerts_fired": state.alerts_fired,
                 "exemplar_trace": state.last_bad_trace,

@@ -137,5 +137,4 @@ def test_full_world_under_load_conforms():
     text = world.metrics.render_prometheus()
     assert_conformant(text)
     assert "slo_burn_rate{" in text
-    assert "flightrecorder_records" in text
     assert "# {trace_id=" in text  # queue-wait exemplars made it out

@@ -1,15 +1,15 @@
-"""The flight recorder: per-task causal records from the event stream."""
+"""The flight recorder: per-task causal records folded from the event log."""
 
 import json
 
 import pytest
 
-from repro.errors import TransferFaultError
+from repro.errors import TelemetryNotRecordedError, TransferFaultError
 from repro.recovery.engine import RecoveryEngine
 from repro.recovery.policy import RetryPolicy
 from repro.scheduler import FleetScheduler, ScheduledTask, SchedulerConfig
 from repro.sim.world import World
-from repro.telemetry.flightrecorder import FlightRecorder
+from repro.telemetry.flightrecorder import EVENTS_PER_RECORD, FlightRecorder
 
 
 def _task(world, i, user=None, duration_s=5.0, src="alcf#dtn", dst="nersc#dtn"):
@@ -92,46 +92,62 @@ def test_queries_by_user_endpoint_and_slowness():
         rec.slowest(3, by="bogus")
 
 
-def test_ring_evicts_completed_before_inflight():
-    world = World(seed=3)
-    recorder = FlightRecorder(world, capacity=3)
-    # two terminal tasks, then three in-flight submissions
-    for i in range(2):
-        world.emit("scheduler.submitted", "q", task=f"done-{i}", user="u")
-        world.emit("scheduler.task_done", "d", task=f"done-{i}", user="u",
-                   bytes=1, attempts=1)
-    for i in range(3):
-        world.emit("scheduler.submitted", "q", task=f"live-{i}", user="u")
-    assert len(recorder) == 3
-    # the completed records went first; all in-flight ones survive
-    assert recorder.record("done-0") is None
-    assert recorder.record("done-1") is None
-    for i in range(3):
-        assert recorder.record(f"live-{i}") is not None
-    assert world.metrics.get("flightrecorder_evicted_total").total() == 2
-    assert world.metrics.get("flightrecorder_records").value() == 3
-
-
-def test_ring_falls_back_to_oldest_when_nothing_terminal():
-    world = World(seed=3)
-    recorder = FlightRecorder(world, capacity=2)
-    for i in range(4):
-        world.emit("scheduler.submitted", "q", task=f"live-{i}", user="u")
-    assert len(recorder) == 2
-    assert recorder.record("live-0") is None
-    assert recorder.record("live-1") is None
-    assert recorder.record("live-3") is not None
-
-
 def test_per_record_event_bound_counts_drops():
-    world = World(seed=3)
-    recorder = FlightRecorder(world, capacity=8, events_per_record=3)
+    world = World(seed=3, trace=True)
+    recorder = FlightRecorder(world)
     world.emit("scheduler.submitted", "q", task="t", user="u")
-    for _ in range(5):
+    for _ in range(EVENTS_PER_RECORD + 2):
         world.emit("scheduler.claimed", "c", task="t", worker="w0", attempt=1)
     r = recorder.record("t")
-    assert len(r.events) == 3
+    assert len(r.events) == EVENTS_PER_RECORD
     assert r.dropped_events == 3
+
+
+def test_recorder_built_after_the_drain_sees_the_same_records():
+    world = World(seed=7, trace=True)
+    world.enable_observability()
+    _drain(world)
+    late = FlightRecorder(world)
+    assert len(late) == 6
+    assert late.to_jsonl() == world.flight_recorder.to_jsonl()
+    # reads between events share one fold; a new event refolds
+    assert late.record("task-000000") is late.record("task-000000")
+    world.emit("scheduler.submitted", "q", task="late", user="u")
+    assert late.record("late").user == "u"
+    assert len(late) == 7
+
+
+def test_only_the_slo_engine_subscribes_to_the_log():
+    world = World(seed=7, trace=True)
+    world.enable_observability()
+    assert len(world.log._subscribers) == 1
+    assert world.log._subscribers[0].__qualname__ == "wire_slos.<locals>.on_event"
+
+
+def test_event_capacity_bounds_the_records():
+    # an unbounded twin finds where task-000001's submit lands in the log
+    full = World(seed=7, trace=True)
+    _drain(full)
+    events = list(full.log)
+    kept = len(events) - next(
+        i for i, ev in enumerate(events)
+        if ev.category == "scheduler.submitted"
+        and ev.fields["task"] == "task-000001")
+    world = World(seed=7, trace=True, event_capacity=kept)
+    recorder = FlightRecorder(world)
+    _drain(world)
+    assert world.log.dropped_events > 0
+    first = recorder.record("task-000000")
+    assert first.submitted_at is None
+    assert not first.complete
+    for i in range(1, 6):
+        assert recorder.record(f"task-{i:06d}").complete
+
+
+def test_reading_records_needs_a_traced_world():
+    recorder = FlightRecorder(World(seed=3))
+    with pytest.raises(TelemetryNotRecordedError, match=r"trace=True"):
+        len(recorder)
 
 
 def test_lease_expiry_flips_status_back_to_queued():
@@ -222,18 +238,6 @@ def test_jsonl_dump_roundtrips(tmp_path):
     assert row["events"][0]["kind"] == "scheduler.submitted"
 
 
-def test_detach_stops_recording_but_keeps_records():
-    world = World(seed=7, trace=True)
-    rec, _ = world.enable_observability()
-    _drain(world, n_tasks=2)
-    assert len(rec) == 2
-    rec.detach()
-    world.emit("scheduler.submitted", "q", task="late", user="u")
-    assert rec.record("late") is None
-    assert rec.record("task-000000") is not None
-    rec.detach()  # idempotent
-
-
 def test_determinism_across_identical_runs():
     def run():
         world = World(seed=13, trace=True)
@@ -250,11 +254,3 @@ def test_enable_observability_is_idempotent():
     pair2 = world.enable_observability()
     assert pair1[0] is pair2[0]
     assert pair1[1] is pair2[1]
-
-
-def test_recorder_validates_bounds():
-    world = World(seed=1)
-    with pytest.raises(ValueError):
-        FlightRecorder(world, capacity=0)
-    with pytest.raises(ValueError):
-        FlightRecorder(world, events_per_record=0)
