@@ -278,10 +278,3 @@ class TransferFaultError(TransferError):
 
 class DCAUError(SecurityError):
     """Data channel authentication failed (Figure 4 scenario)."""
-
-
-class UnsupportedCommandError(ProtocolError):
-    """Server does not implement the command (e.g. legacy server + DCSC)."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, code=500)

@@ -24,9 +24,14 @@ from repro.errors import (
     TransferError,
     TransferFaultError,
 )
-from repro.gridftp.client import GridFTPClient
+from repro.gridftp.client import ClientSession, GridFTPClient
+from repro.gridftp.replies import size_of
 from repro.gridftp.restart import ByteRangeSet
-from repro.gridftp.third_party import third_party_transfer, wait_paths_clear
+from repro.gridftp.third_party import (
+    install_dcsc_contexts,
+    third_party_transfer,
+    wait_paths_clear,
+)
 from repro.gridftp.transfer import TransferOptions, TransferResult
 from repro.gridftp.tuning import DatasetShape, autotune
 from repro.recovery import RecoveryEngine
@@ -127,6 +132,34 @@ def _connect_sessions(go: "GlobusOnline", user: "GOUser", job: TransferJob):
     return src_rec, dst_rec, src_act, dst_act, src_session, dst_session
 
 
+def _release(*sessions: ClientSession) -> None:
+    """Give each session back (to the pool when it qualifies), whatever befell it."""
+    for session in sessions:
+        try:
+            session.release()
+        except Exception:
+            pass
+
+
+def _fail(world, job: "TransferJob | BatchTransferJob", exc: ReproError) -> None:
+    """Mark ``job`` FAILED with ``exc``.
+
+    An :class:`ActivationExpiredError` is the execution-time pre-flight
+    catching a credential that lapsed while the job sat in the queue: the
+    job must not be retried with the stale activation — the user
+    re-activates.
+    """
+    job.error = str(exc)
+    job.status = JobStatus.FAILED
+    if isinstance(exc, ActivationExpiredError):
+        job.needs_reactivation = True
+        world.emit(
+            "globusonline.job.reactivation_required",
+            "activation expired while queued; re-activate the endpoint",
+            job=job.job_id, endpoint=exc.endpoint, expired_at=exc.expired_at,
+        )
+
+
 def _cross_domain(src_rec, dst_rec) -> bool:
     """Do the endpoints share any trust anchor?  If not, DCSC is required."""
     src_fps = set(src_rec.trust.anchors)
@@ -213,11 +246,7 @@ def _run_job(
             job.checksum_verified = True
             return result
         finally:
-            for session in (src_session, dst_session):
-                try:
-                    session.release()
-                except Exception:
-                    pass
+            _release(src_session, dst_session)
 
     def on_failure(exc: BaseException, attempt: int, checkpoint) -> None:
         job.error = str(exc)
@@ -241,18 +270,7 @@ def _run_job(
             span_fields={"job": job.job_id},
         )
     except ReproError as exc:
-        job.error = str(exc)
-        job.status = JobStatus.FAILED
-        if isinstance(exc, ActivationExpiredError):
-            # the execution-time pre-flight caught a credential that
-            # lapsed while the job sat in the queue: the job must not be
-            # retried with the stale activation — the user re-activates.
-            job.needs_reactivation = True
-            world.emit(
-                "globusonline.job.reactivation_required",
-                "activation expired while queued; re-activate the endpoint",
-                job=job.job_id, endpoint=exc.endpoint, expired_at=exc.expired_at,
-            )
+        _fail(world, job, exc)
         world.emit("globusonline.job.failed", "job failed", job=job.job_id,
                    reason=job.error)
         return job
@@ -296,8 +314,6 @@ def _run_batch_job(
     job: BatchTransferJob,
     options: TransferOptions | None = None,
 ) -> BatchTransferJob:
-    from repro.gridftp.transfer import SinkSpec, SourceSpec
-
     world = go.world
     job.status = JobStatus.ACTIVE
     try:
@@ -305,20 +321,10 @@ def _run_batch_job(
             go, user, job
         )
     except ReproError as exc:
-        job.error = str(exc)
-        job.status = JobStatus.FAILED
-        if isinstance(exc, ActivationExpiredError):
-            job.needs_reactivation = True
-            world.emit(
-                "globusonline.job.reactivation_required",
-                "activation expired while queued; re-activate the endpoint",
-                job=job.job_id, endpoint=exc.endpoint, expired_at=exc.expired_at,
-            )
+        _fail(world, job, exc)
         return job
     try:
         # pipelined SIZE sweep for auto-tuning (and early missing-file errors)
-        from repro.gridftp.replies import size_of
-
         sizes = [size_of(r) for r in src_session.pipeline([f"SIZE {sp}" for sp, _ in job.pairs])]
         opts = options
         if opts is None:
@@ -329,8 +335,6 @@ def _run_batch_job(
         src_session.apply_options(opts)
         dst_session.apply_options(opts)
         if _cross_domain(src_rec, dst_rec):
-            from repro.gridftp.third_party import install_dcsc_contexts
-
             install_dcsc_contexts(src_session, dst_session, src_act.credential)
         addr = dst_session.passive()
         src_session.port(addr)
@@ -339,52 +343,28 @@ def _run_batch_job(
         dst_session.pipeline([f"STOR {dp}" for _, dp in job.pairs])
         src_session.pipeline([f"RETR {sp}" for sp, _ in job.pairs])
 
-        engine = src_session.client.engine
-        k = max(1, opts.concurrency)
-        lane_time = [0.0] * k
-        for i, ((sp, dp), size) in enumerate(zip(job.pairs, sizes)):
-            recv_intent = dst_session.server_session.take_intent()
-            send_intent = src_session.server_session.take_intent()
-            sink = dst_session.server_session.make_sink(recv_intent, size)
-            source = SourceSpec(
-                hosts=src_session.server.dtp_hosts,
-                data=send_intent.data,
-                security=src_session.server_session.data_channel_security(),
-            )
-            sink_spec = SinkSpec(
-                hosts=dst_session.server.dtp_hosts,
-                sink=sink,
-                security=dst_session.server_session.data_channel_security(),
-            )
-            result = engine.execute(
-                source, sink_spec, opts,
-                charge_setup=(i < k), advance_clock=False,
-            )
-            lane = min(range(k), key=lane_time.__getitem__)
-            lane_time[lane] += result.duration_s
+        src_ss = src_session.server_session
+        dst_ss = dst_session.server_session
+        files = [(src_ss.take_intent(), dst_ss.take_intent(), size) for size in sizes]
+        lanes = src_session.client.engine.execute_lanes(
+            files,
+            lambda f: (src_ss.source_end(f[0]), dst_ss.sink_end(f[1], f[2])),
+            opts,
+        )
+        for (send_intent, recv_intent, _), result in lanes:
             job.files_done += 1
             job.bytes_done += result.nbytes
-            src_session.server.record_transfer(
-                result, "retrieve", sp, mode=src_session.server_session.mode
-            )
-            dst_session.server.record_transfer(
-                result, "store", dp, mode=dst_session.server_session.mode
-            )
-        world.advance(max(lane_time) if lane_time else 0.0)
+            src_ss.record(result, "retrieve", send_intent)
+            dst_ss.record(result, "store", recv_intent)
         job.status = JobStatus.SUCCEEDED
         job.completed_at = world.now
         world.emit("globusonline.batch.succeeded", "batch complete",
                    job=job.job_id, files=job.files_done, nbytes=job.bytes_done)
         return job
     except ReproError as exc:
-        job.error = str(exc)
-        job.status = JobStatus.FAILED
+        _fail(world, job, exc)
         world.emit("globusonline.batch.failed", "batch failed",
                    job=job.job_id, reason=job.error, files_done=job.files_done)
         return job
     finally:
-        for session in (src_session, dst_session):
-            try:
-                session.release()
-            except Exception:
-                pass
+        _release(src_session, dst_session)

@@ -5,7 +5,9 @@ client host; :meth:`~GridFTPClient.connect` opens a control channel and
 performs the mutual GSI handshake (client validates the server's host
 certificate; server validates the user's delegated proxy).  The session
 object then exposes the protocol commands plus high-level ``get``/
-``put``/``get_many`` operations that drive the transfer engine.
+``put``/``get_partial``/``get_many`` operations: each takes the server
+session's end of the data channel, builds the client's own end over its
+local storage, and runs the two through the transfer engine.
 
 ``globus_url_copy`` mirrors the command from paper Section IV.E::
 
@@ -27,7 +29,7 @@ from repro.errors import (
 from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
 from repro.gridftp.replies import Reply, final_reply, size_of, unparseable
 from repro.gridftp.restart import ByteRangeSet, format_restart_marker
-from repro.gridftp.server import GridFTPServer, GridFTPSession, TransferIntent
+from repro.gridftp.server import GridFTPServer, GridFTPSession
 from repro.gridftp.transfer import (
     SinkSpec,
     SourceSpec,
@@ -575,8 +577,9 @@ class ClientSession:
         try:
             validate_chain(chain, client.trust, self.world.now)
         except Exception as exc:
+            leaf = next((cert.subject for cert in chain), "(no certificate)")
             raise AuthenticationError(
-                f"client rejected server certificate {chain[0].subject}: {exc}"
+                f"client rejected server certificate {leaf}: {exc}"
             ) from exc
         # delegate a proxy to the server and present it
         delegated = delegate_credential(
@@ -741,6 +744,25 @@ class ClientSession:
 
     # -- whole-file operations ------------------------------------------------------------
 
+    def _prepare(self, options: TransferOptions | None) -> TransferOptions:
+        """Push ``options`` (default: plain options) for a transfer to or from local storage."""
+        if self.client.local_storage is None:
+            raise TransferError("client has no local storage configured")
+        options = options or TransferOptions()
+        self.apply_options(options)
+        return options
+
+    def _local_sink(
+        self, path: str, size: int, options: TransferOptions, resume: bool = False
+    ) -> SinkSpec:
+        """The client's own receiving end: ``path`` in its local storage."""
+        client = self.client
+        return SinkSpec(
+            hosts=(client.host,),
+            sink=client.local_storage.open_write(path, 0, size, resume=resume),
+            security=client.data_channel_security(options.dcau),
+        )
+
     def get(
         self,
         remote_path: str,
@@ -749,33 +771,17 @@ class ClientSession:
         restart: ByteRangeSet | None = None,
     ) -> TransferResult:
         """RETR ``remote_path`` into the client's local storage."""
-        client = self.client
-        if client.local_storage is None:
-            raise TransferError("client has no local storage configured")
-        options = options or TransferOptions()
-        self.apply_options(options)
+        options = self._prepare(options)
         if restart is not None:
             self.rest(restart)  # the ranges we already hold
         self.command(f"RETR {remote_path}")
-        intent = self.server_session.take_intent()
-        assert intent.data is not None
-        source = SourceSpec(
-            hosts=self.server.dtp_hosts,
-            data=intent.data,
-            security=self.server_session.data_channel_security(),
-            needed=intent.needed,
-        )
-        sink = client.local_storage.open_write(
-            local_path, 0, intent.data.size, resume=restart is not None
-        )
-        sink_spec = SinkSpec(
-            hosts=(client.host,),
-            sink=sink,
-            security=client.data_channel_security(options.dcau),
-        )
-        result = client.engine.execute(source, sink_spec, options)
-        self.server.record_transfer(result, "retrieve", intent.path,
-                                    mode=self.server_session.mode)
+        ss = self.server_session
+        intent = ss.take_intent()
+        source = ss.source_end(intent)
+        sink = self._local_sink(local_path, source.data.size, options,
+                                resume=restart is not None)
+        result = self.client.engine.execute(source, sink, options)
+        ss.record(result, "retrieve", intent)
         return result
 
     def put(
@@ -786,11 +792,8 @@ class ClientSession:
         restart: ByteRangeSet | None = None,
     ) -> TransferResult:
         """STOR the client's local file to ``remote_path``."""
+        options = self._prepare(options)
         client = self.client
-        if client.local_storage is None:
-            raise TransferError("client has no local storage configured")
-        options = options or TransferOptions()
-        self.apply_options(options)
         data = client.local_storage.open_read(local_path, 0)
         needed = None
         if restart is not None:
@@ -798,22 +801,17 @@ class ClientSession:
             self.rest(restart)
         self.passive()
         self.command(f"STOR {remote_path}")
-        intent = self.server_session.take_intent()
-        sink = self.server_session.make_sink(intent, data.size)
+        ss = self.server_session
+        intent = ss.take_intent()
+        sink = ss.sink_end(intent, data.size)
         source = SourceSpec(
             hosts=(client.host,),
             data=data,
             security=client.data_channel_security(options.dcau),
             needed=needed,
         )
-        sink_spec = SinkSpec(
-            hosts=self.server.dtp_hosts,
-            sink=sink,
-            security=self.server_session.data_channel_security(),
-        )
-        result = client.engine.execute(source, sink_spec, options)
-        self.server.record_transfer(result, "store", intent.path,
-                                    mode=self.server_session.mode)
+        result = client.engine.execute(source, sink, options)
+        ss.record(result, "store", intent)
         return result
 
     def get_partial(
@@ -830,36 +828,19 @@ class ClientSession:
         just that window populated (the partial persists, so later
         windows can fill in around it).
         """
-        client = self.client
-        if client.local_storage is None:
-            raise TransferError("client has no local storage configured")
-        options = options or TransferOptions()
-        self.apply_options(options)
+        options = self._prepare(options)
         size = self.size(remote_path)
         self.command(f"ERET P {offset} {length} {remote_path}")
-        intent = self.server_session.take_intent()
-        assert intent.data is not None
-        source = SourceSpec(
-            hosts=self.server.dtp_hosts,
-            data=intent.data,
-            security=self.server_session.data_channel_security(),
-            needed=intent.needed,
-        )
-        sink = client.local_storage.open_write(local_path, 0, size, resume=True)
-        sink_spec = SinkSpec(
-            hosts=(client.host,),
-            sink=sink,
-            security=client.data_channel_security(options.dcau),
-        )
+        ss = self.server_session
+        intent = ss.take_intent()
+        source = ss.source_end(intent)
+        sink = self._local_sink(local_path, size, options, resume=True)
         # a window transfer cannot verify the whole-file fingerprint;
         # finalize only once the accumulated windows cover the file.
-        complete = sink.received.union(
-            intent.needed if intent.needed is not None else sink.received
-        ).covers(size)
-        result = client.engine.execute(source, sink_spec, options,
-                                       finalize=complete)
-        self.server.record_transfer(result, "retrieve-partial", intent.path,
-                                    mode=self.server_session.mode)
+        held = sink.sink.received
+        complete = held.union(intent.needed if intent.needed is not None else held).covers(size)
+        result = self.client.engine.execute(source, sink, options, finalize=complete)
+        ss.record(result, "retrieve-partial", intent)
         return result
 
     def get_many(
@@ -873,58 +854,37 @@ class ClientSession:
 
         * **pipelining** — all RETR commands stream back-to-back in one
           round trip instead of one round trip each;
-        * **concurrency** — ``options.concurrency`` files move at once;
-          the elapsed virtual time is the concurrent makespan.
+        * **concurrency** — ``options.concurrency`` files move at once
+          (:meth:`TransferEngine.execute_lanes`); the elapsed virtual
+          time is the concurrent makespan.
 
-        Data channels are mode E cached: only the first file pays
-        channel setup.
+        Data channels are mode E cached: only the first file on each lane
+        pays channel setup.
         """
-        client = self.client
-        if client.local_storage is None:
-            raise TransferError("client has no local storage configured")
-        options = options or TransferOptions()
-        self.apply_options(options)
-
-        intents: list[tuple[TransferIntent, str]] = []
+        options = self._prepare(options)
+        ss = self.server_session
+        intents = []
         if options.pipelining:
             batches = self.channel.pipeline([f"RETR {r}" for r, _ in paths])
             for (remote, local), lines in zip(paths, batches):
                 final_reply(f"RETR {remote}", lines)
-                intents.append((self.server_session.take_intent(), local))
+                intents.append((ss.take_intent(), local))
         else:
             for remote, local in paths:
                 self.command(f"RETR {remote}")
-                intents.append((self.server_session.take_intent(), local))
+                intents.append((ss.take_intent(), local))
 
-        results: list[TransferResult] = []
-        k = max(1, options.concurrency)
-        lane_time = [0.0] * k
-        for i, (intent, local) in enumerate(intents):
-            assert intent.data is not None
-            source = SourceSpec(
-                hosts=self.server.dtp_hosts,
-                data=intent.data,
-                security=self.server_session.data_channel_security(),
-            )
-            sink = client.local_storage.open_write(local, 0, intent.data.size)
-            sink_spec = SinkSpec(
-                hosts=(client.host,),
-                sink=sink,
-                security=client.data_channel_security(options.dcau),
-            )
-            result = client.engine.execute(
-                source,
-                sink_spec,
-                options,
-                charge_setup=(i < k),  # one channel set per lane
-                advance_clock=False,
-            )
-            lane = min(range(k), key=lane_time.__getitem__)
-            lane_time[lane] += result.duration_s
+        def open_ends(file):
+            intent, local = file
+            source = ss.source_end(intent)
+            return source, self._local_sink(local, source.data.size, options)
+
+        results = []
+        for (intent, _), result in self.client.engine.execute_lanes(
+            intents, open_ends, options
+        ):
+            ss.record(result, "retrieve", intent)
             results.append(result)
-            self.server.record_transfer(result, "retrieve", intent.path,
-                                        mode=self.server_session.mode)
-        self.world.advance(max(lane_time) if lane_time else 0.0)
         return results
 
 

@@ -26,13 +26,14 @@ from repro.errors import (
     PamError,
     ProtocolError,
     StorageError,
+    TransferError,
 )
 from repro.gridftp import replies as R
 from repro.gridftp.commands import feature_labels, known_verbs, lookup, parse_command
 from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
 from repro.gridftp.dcsc import DcscContext, decode_dcsc_blob
 from repro.gridftp.restart import ByteRangeSet, parse_restart_marker
-from repro.gridftp.transfer import TransferResult
+from repro.gridftp.transfer import SinkSpec, SourceSpec, TransferResult
 from repro.net.sockets import Listener, ServerSession, Service, listen, listen_ephemeral, close_listener
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
@@ -51,13 +52,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class TransferIntent:
-    """What a RETR or STOR set up, awaiting the data channel."""
+    """What a RETR, ERET, STOR or ESTO set up, awaiting the data channel."""
 
     direction: str  # "send" | "recv"
     path: str
     data: FileData | None = None  # send
-    sink: WriteSink | None = None  # recv
-    needed: ByteRangeSet | None = None  # restart ranges (send side)
+    needed: ByteRangeSet | None = None  # send: only these ranges (REST, ERET)
+    resume: bool = False  # recv: reopen the partial file (REST, ESTO)
 
 
 class _DataPortService(Service):
@@ -214,7 +215,6 @@ class GridFTPSession(ServerSession):
         self.remote_ports: list[tuple[str, int]] = []
         self.pending: list[TransferIntent] = []
         self._rnfr: str | None = None
-        self._stor_resume = False
         self.closed = False
         self.banner = str(R.BANNER)
 
@@ -280,7 +280,6 @@ class GridFTPSession(ServerSession):
         self.restart = None
         self.dcsc = None
         self._rnfr = None
-        self._stor_resume = False
         self.type_ = "A"
         self.mode = "S"
         self.parallelism = 1
@@ -602,14 +601,12 @@ class GridFTPSession(ServerSession):
         return [str(R.OPENING_DATA)]
 
     def _cmd_stor(self, arg: str) -> list[str]:
-        path = self._resolve(arg)
-        resume = self.restart is not None
-        # the expected size arrives with the data in mode E; the sink is
-        # created lazily by take_sink() once the engine knows the size.
-        self.pending.append(
-            TransferIntent(direction="recv", path=path, needed=self.restart)
-        )
-        self._stor_resume = resume
+        # the expected size arrives with the data in mode E, so sink_end()
+        # opens the sink once the data channel knows it; a REST before
+        # the STOR reopens the partial file instead of truncating it
+        self.pending.append(TransferIntent(
+            direction="recv", path=self._resolve(arg), resume=self.restart is not None
+        ))
         self.restart = None
         return [str(R.OPENING_DATA)]
 
@@ -636,8 +633,7 @@ class GridFTPSession(ServerSession):
         if len(parts) != 3 or parts[0].upper() != "A":
             return [str(R.BAD_PARAMETER)]
         path = self._resolve(parts[2])
-        self.pending.append(TransferIntent(direction="recv", path=path))
-        self._stor_resume = True
+        self.pending.append(TransferIntent(direction="recv", path=path, resume=True))
         return [str(R.OPENING_DATA)]
 
     # -- engine-facing accessors -----------------------------------------------------
@@ -649,9 +645,33 @@ class GridFTPSession(ServerSession):
         return self.pending.pop(0)
 
     def make_sink(self, intent: TransferIntent, expected_size: int) -> WriteSink:
-        """Open the storage sink for a recv intent."""
-        resume = getattr(self, "_stor_resume", False) or intent.needed is not None
-        return self.server.dsi.open_write(intent.path, self.uid, expected_size, resume=resume)
+        """Open the storage sink for a recv intent, as the session's uid."""
+        return self.server.dsi.open_write(
+            intent.path, self.uid, expected_size, resume=intent.resume
+        )
+
+    def source_end(self, intent: TransferIntent) -> SourceSpec:
+        """This server's sending end of a data channel for a send intent."""
+        if intent.data is None:
+            raise TransferError(f"no file opened for sending {intent.path!r}")
+        return SourceSpec(
+            hosts=self.server.dtp_hosts,
+            data=intent.data,
+            security=self.data_channel_security(),
+            needed=intent.needed,
+        )
+
+    def sink_end(self, intent: TransferIntent, size: int) -> SinkSpec:
+        """This server's receiving end of a data channel for a recv intent."""
+        return SinkSpec(
+            hosts=self.server.dtp_hosts,
+            sink=self.make_sink(intent, size),
+            security=self.data_channel_security(),
+        )
+
+    def record(self, result: TransferResult, direction: str, intent: TransferIntent) -> None:
+        """Report ``intent``'s finished transfer to the server's usage telemetry."""
+        self.server.record_transfer(result, direction, intent.path, mode=self.mode)
 
     def data_channel_security(self) -> DataChannelSecurity:
         """This endpoint's DCAU posture, honouring any DCSC context.

@@ -21,7 +21,7 @@ from repro.errors import LinkDownError, NetworkError, TransferFaultError
 from repro.gridftp.client import ClientSession
 from repro.gridftp.dcsc import encode_dcsc_blob
 from repro.gridftp.restart import ByteRangeSet
-from repro.gridftp.transfer import SinkSpec, SourceSpec, TransferOptions, TransferResult
+from repro.gridftp.transfer import TransferOptions, TransferResult
 from repro.pki.credential import Credential
 from repro.recovery import CircuitBreaker, RecoveryEngine, RetryPolicy
 
@@ -109,32 +109,15 @@ def third_party_transfer(
             dest_session.command(f"STOR {dest_path}")
             source_session.command(f"RETR {source_path}")
 
-        recv_intent = dest_session.server_session.take_intent()
-        send_intent = source_session.server_session.take_intent()
-        assert send_intent.data is not None
-
-        sink = dest_session.server_session.make_sink(recv_intent, send_intent.data.size)
-        source = SourceSpec(
-            hosts=source_session.server.dtp_hosts,
-            data=send_intent.data,
-            security=source_session.server_session.data_channel_security(),
-            needed=send_intent.needed,
-        )
-        sink_spec = SinkSpec(
-            hosts=dest_session.server.dtp_hosts,
-            sink=sink,
-            security=dest_session.server_session.data_channel_security(),
-        )
-        engine = source_session.client.engine
-        result = engine.execute(source, sink_spec, options)
-        source_session.server.record_transfer(
-            result, "retrieve", send_intent.path,
-            mode=source_session.server_session.mode,
-        )
-        dest_session.server.record_transfer(
-            result, "store", recv_intent.path,
-            mode=dest_session.server_session.mode,
-        )
+        src_ss = source_session.server_session
+        dst_ss = dest_session.server_session
+        recv_intent = dst_ss.take_intent()
+        send_intent = src_ss.take_intent()
+        source = src_ss.source_end(send_intent)
+        sink = dst_ss.sink_end(recv_intent, source.data.size)
+        result = source_session.client.engine.execute(source, sink, options)
+        src_ss.record(result, "retrieve", send_intent)
+        dst_ss.record(result, "store", recv_intent)
         return result
 
 

@@ -18,6 +18,7 @@ protection, transport, block size), then:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import TransferError, TransferFaultError
 from repro.gridftp.dcau import DataChannelAuthCache, DataChannelSecurity, DCAUMode
@@ -32,6 +33,8 @@ from repro.util.ranges import ByteRangeSet
 from repro.xio.drivers import GsiProtectDriver, Protection, TcpDriver, UdtDriver
 from repro.xio.stack import XIOStack
 
+
+_File = TypeVar("_File")
 
 #: histogram bucket edges for ``transfer_duration_seconds`` (virtual seconds)
 TRANSFER_DURATION_BUCKETS: tuple[float, ...] = (
@@ -305,9 +308,9 @@ class TransferEngine:
         been persisted for restart.
 
         ``advance_clock=False`` computes timing without moving the world
-        clock — used by batch orchestration (concurrency lanes), whose
-        caller advances the clock by the lane makespan itself.  Fault
-        interruption is only modelled when the clock advances.
+        clock — :meth:`execute_lanes` runs each file so and advances the
+        clock once by the lanes' makespan.  Fault interruption is only
+        modelled when the clock advances.
 
         Every run opens a ``data_channel`` tracer span and maintains the
         ``active_data_channels`` gauge; bytes and outcomes land in the
@@ -327,6 +330,36 @@ class TransferEngine:
                 )
             finally:
                 active.dec()
+
+    def execute_lanes(
+        self,
+        files: Iterable[_File],
+        open_ends: Callable[[_File], tuple[SourceSpec, SinkSpec]],
+        options: TransferOptions,
+    ) -> Iterator[tuple[_File, TransferResult]]:
+        """Run ``files`` on ``options.concurrency`` lanes; yield each as it ends.
+
+        The concurrency optimization for many small files: each file joins
+        the lane that frees first, only the first ``concurrency`` files pay
+        channel setup (mode E channels are cached per lane), and the clock
+        advances once, by the makespan, after the last file.
+        ``open_ends(file)`` opens a file's ends only when the file starts,
+        and the caller reports each ``(file, result)`` before the next file
+        runs, so storage side effects and events keep the order of one
+        file after another.  The clock moves once the caller has taken the
+        last result; a file that raises ends the run with the clock where
+        it stood.
+        """
+        k = options.concurrency
+        lane_time = [0.0] * k
+        for i, file in enumerate(files):
+            source, sink = open_ends(file)
+            result = self.execute(source, sink, options, charge_setup=i < k,
+                                  advance_clock=False)
+            lane = min(range(k), key=lane_time.__getitem__)
+            lane_time[lane] += result.duration_s
+            yield file, result
+        self.world.advance(max(lane_time))
 
     def _profile(self, source: SourceSpec, sink: SinkSpec,
                  options: TransferOptions) -> _TransferProfile:

@@ -42,11 +42,6 @@ class CredentialStore:
 
     # -- access -----------------------------------------------------------------
 
-    @property
-    def long_term(self) -> Credential | None:
-        """The installed long-term credential, if any."""
-        return self._long_term
-
     def grid_proxy_init(self, lifetime: float = DEFAULT_PROXY_LIFETIME) -> Credential:
         """Create a proxy from the long-term credential (grid-proxy-init)."""
         if self._long_term is None:

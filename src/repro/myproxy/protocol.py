@@ -63,8 +63,11 @@ class LogonResponse:
     def decode(line: str) -> "LogonResponse":
         """Parse the single-line wire form."""
         tag, _, body = line.partition(" ")
-        if tag == "OK":
-            return LogonResponse(ok=True, credential_pem=b64decode_str(body).decode("ascii"))
-        if tag == "ERR":
-            return LogonResponse(ok=False, error=b64decode_str(body).decode("utf-8"))
+        try:
+            if tag == "OK":
+                return LogonResponse(ok=True, credential_pem=b64decode_str(body).decode("ascii"))
+            if tag == "ERR":
+                return LogonResponse(ok=False, error=b64decode_str(body).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed myproxy response body: {exc}", code=501) from exc
         raise ProtocolError(f"malformed myproxy response: {line!r}", code=501)

@@ -14,10 +14,11 @@ recognize locally-issued certificates (Section IV.C).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.auth.pam import PamStack
-from repro.errors import PamError
+from repro.errors import PamError, ProtocolError, ReproError
 from repro.myproxy.protocol import LogonRequest, LogonResponse
 from repro.net.sockets import Listener, ServerSession, Service, listen, close_listener
 from repro.pki.ca import CertificateAuthority
@@ -150,6 +151,8 @@ class MyProxySession(ServerSession):
         """Process one request line (ServerSession interface)."""
         try:
             request = LogonRequest.decode(line)
+            if not (math.isfinite(request.lifetime_s) and request.lifetime_s > 0):
+                raise ProtocolError(f"lifetime {request.lifetime_s} is not finite and positive")
         except Exception as exc:
             return [LogonResponse(ok=False, error=f"bad request: {exc}").encode()]
         self.server.world.clock.advance(self.PROCESSING_TIME_S)
@@ -162,5 +165,7 @@ class MyProxySession(ServerSession):
                 "myproxy.deny", "logon denied",
                 site=self.server.site_name, username=request.username,
             )
+            return [LogonResponse(ok=False, error=str(exc)).encode()]
+        except ReproError as exc:
             return [LogonResponse(ok=False, error=str(exc)).encode()]
         return [LogonResponse(ok=True, credential_pem=credential.to_pem()).encode()]

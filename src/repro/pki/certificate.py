@@ -10,6 +10,7 @@ the signature — which the property tests verify exhaustively.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import CertificateError
@@ -53,9 +54,11 @@ class Certificate:
     signature: int = 0
 
     def __post_init__(self) -> None:
-        if self.not_after <= self.not_before:
+        # chained so that a NaN or infinite bound fails too: a window that
+        # never ends would outlive every lifetime cap
+        if not (-math.inf < self.not_before < self.not_after < math.inf):
             raise CertificateError(
-                f"certificate validity window is empty: "
+                f"certificate validity window is empty or not finite: "
                 f"[{self.not_before}, {self.not_after}]"
             )
 

@@ -193,13 +193,6 @@ class EventLog:
         """Invoke ``callback`` for every future event (used by usage collectors)."""
         self._subscribers.append(callback)
 
-    def unsubscribe(self, callback: Callable[[Event], None]) -> None:
-        """Stop delivering events to ``callback`` (no-op if not subscribed)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
-
     def __len__(self) -> int:
         return len(self._kept())
 

@@ -39,7 +39,7 @@ from repro.pki.validation import TrustStore
 from repro.sim.world import World
 from repro.storage.data import LiteralData, SyntheticData
 from repro.storage.posix import PosixStorage
-from repro.util.units import DAY, GB, KB, PB, gbps
+from repro.util.units import GB, KB, PB, gbps
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,6 @@ class FleetModel:
     def series(self, step_days: int = 7) -> list[FleetDay]:
         """The sampled multi-year series (weekly by default)."""
         return [self.day(d) for d in range(0, self.days, step_days)]
-
-    @staticmethod
-    def day_to_time(day_index: int) -> float:
-        """Virtual time (seconds) of a day index."""
-        return day_index * DAY
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,21 @@ def test_batch_fails_cleanly_on_missing_file(batch_world):
     assert job.error
 
 
+def test_batch_opens_each_destination_when_its_file_starts(batch_world):
+    """A batch whose 11th destination is a directory writes the first ten
+    files, fails there, and never creates the last nine."""
+    world, go, ep_a, ep_b, user, pairs = batch_world
+    batch = pairs[:20]
+    ep_b.storage.makedirs(batch[10][1], 0)
+    job = go.submit_batch_transfer(user, "alcf#dtn", "nersc#dtn", batch)
+    assert job.status is JobStatus.FAILED
+    assert job.files_done == 10
+    uid = ep_b.accounts.get("asmith").uid
+    for i, (_, dp) in enumerate(batch[:10]):
+        assert ep_b.storage.open_read(dp, uid).read_all() == bytes([i % 256]) * FILE_SIZE
+    assert not any(ep_b.storage.exists(dp) for _, dp in batch[11:])
+
+
 def test_batch_requires_activation(batch_world):
     world, go, ep_a, ep_b, user, pairs = batch_world
     stranger = go.register_user("stranger@globusid")

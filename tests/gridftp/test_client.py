@@ -70,6 +70,17 @@ def test_client_rejects_untrusted_server(simple_pair):
         client.connect(site.server)
 
 
+def test_empty_auth_chain_fails_the_login(simple_pair, monkeypatch):
+    """An AUTH reply that carries no certificate is refused, not an IndexError."""
+    from repro.gridftp import server
+
+    world, site, laptop = simple_pair
+    monkeypatch.setitem(server._HANDLERS, "AUTH", lambda session, arg: ["334 ADAT="])
+    client = site.client_for(world, "alice", laptop)
+    with pytest.raises(AuthenticationError, match="no certificate"):
+        client.connect(site.server)
+
+
 def test_login_as_specific_requested_user(simple_pair):
     world, site, laptop = simple_pair
     site.gridmap.add(site.user_credentials["alice"].subject, "shared")

@@ -33,6 +33,21 @@ def test_esto_append_at_offset(loaded):
     assert ss.handle("ESTO Z 0 /f")[0].startswith("501")
 
 
+def test_esto_resume_survives_a_later_stor(loaded):
+    """Each recv intent keeps its own resume rule: a STOR queued behind an
+    ESTO must not make the ESTO's sink start empty."""
+    world, site, client, session = loaded
+    ss = session.server_session
+    ss.handle("ESTO A 0 /home/alice/part.bin")
+    first = ss.make_sink(ss.take_intent(), 8)
+    first.write_range(0, b"abcd")
+    first.close(complete=False)  # a 4-byte partial persists
+    assert ss.handle("ESTO A 4 /home/alice/part.bin")[0].startswith("150")
+    assert ss.handle("STOR /home/alice/other.bin")[0].startswith("150")
+    sink = ss.make_sink(ss.take_intent(), 8)
+    assert sink.received.total_bytes() == 4
+
+
 def test_udt_transport_end_to_end(loaded):
     world, site, client, session = loaded
     res = session.get("/home/alice/d.bin", "/tmp/d.bin",

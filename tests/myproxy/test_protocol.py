@@ -41,3 +41,10 @@ def test_response_err_round_trip():
 def test_response_malformed():
     with pytest.raises(ProtocolError):
         LogonResponse.decode("WHAT even")
+
+
+@pytest.mark.parametrize("line", ["OK //4=", "ERR //4="])
+def test_response_undecodable_body(line):
+    """A body that is base64 but not text is a protocol error, not a UnicodeDecodeError."""
+    with pytest.raises(ProtocolError):
+        LogonResponse.decode(line)

@@ -106,6 +106,43 @@ def test_session_handles_protocol(ca_env):
     assert not garbage.ok
 
 
+@pytest.mark.parametrize("lifetime", ["nan", "inf", "-inf", "-5", "0"])
+def test_session_refuses_lifetime_not_finite_and_positive(ca_env, lifetime):
+    """No credential outlives the cap: a NaN end would validate forever."""
+    world, ldap, myproxy = ca_env
+    from repro.myproxy.protocol import LogonRequest, LogonResponse
+
+    line = LogonRequest("alice", "pw", 3600).encode().rsplit(" ", 1)[0]
+    resp = LogonResponse.decode(myproxy.open_session("laptop").handle(f"{line} {lifetime}")[0])
+    assert not resp.ok
+    assert "not finite and positive" in resp.error
+    assert myproxy.issued_count == 0
+
+
+def test_session_answers_err_to_any_logon_error(ca_env, monkeypatch):
+    world, ldap, myproxy = ca_env
+    from repro.errors import CertificateError
+    from repro.myproxy.protocol import LogonRequest, LogonResponse
+
+    def refuse(*args):
+        raise CertificateError("no key for you")
+
+    monkeypatch.setattr(myproxy, "logon", refuse)
+    reply = myproxy.open_session("laptop").handle(LogonRequest("alice", "pw", 3600).encode())
+    resp = LogonResponse.decode(reply[0])
+    assert not resp.ok
+    assert resp.error == "no key for you"
+
+
+def test_logon_with_nan_lifetime_issues_nothing(ca_env):
+    world, ldap, myproxy = ca_env
+    from repro.errors import CertificateError
+
+    with pytest.raises(CertificateError):
+        myproxy.logon("alice", "pw", float("nan"))
+    assert myproxy.issued_count == 0
+
+
 def test_logon_charges_processing_time(ca_env):
     world, ldap, myproxy = ca_env
     from repro.myproxy.protocol import LogonRequest

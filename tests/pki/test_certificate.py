@@ -46,6 +46,18 @@ def test_empty_validity_window_rejected(subject_key):
         )
 
 
+@pytest.mark.parametrize("not_before,not_after", [
+    (0.0, float("nan")), (float("nan"), 10.0), (0.0, float("inf")), (float("-inf"), 10.0),
+])
+def test_non_finite_validity_bound_rejected(subject_key, not_before, not_after):
+    """A window with a NaN or infinite end would outlive every lifetime cap."""
+    with pytest.raises(CertificateError):
+        Certificate(
+            subject=DN.parse("/CN=x"), issuer=DN.parse("/CN=y"), serial=1,
+            not_before=not_before, not_after=not_after, public_key=subject_key.public,
+        )
+
+
 def test_signature_verifies_with_issuer_key(cert, issuer_key):
     assert cert.verify_signature(issuer_key.public)
 

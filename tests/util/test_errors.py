@@ -34,7 +34,6 @@ def test_everything_is_a_repro_error():
         (E.FileNotFoundStorageError, E.StorageError),
         (E.PermissionDeniedError, E.StorageError),
         (E.TransferFaultError, E.TransferError),
-        (E.UnsupportedCommandError, E.ProtocolError),
     ],
 )
 def test_hierarchy(child, parent):
