@@ -14,7 +14,7 @@ from the accumulated restart markers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -99,15 +99,16 @@ class TransferJob:
     faults_survived: int = 0
     result: TransferResult | None = None
     error: str = ""
-    checkpoint: ByteRangeSet = field(default_factory=ByteRangeSet)
+    #: the restart marker as of the last fault; None until one happens
+    checkpoint: ByteRangeSet | None = None
     completed_at: float | None = None
     #: set after a successful post-transfer CKSM comparison
     checksum_verified: bool = False
 
     @property
     def bytes_at_checkpoint(self) -> int:
-        """Bytes safely received before the interruption."""
-        return self.checkpoint.total_bytes()
+        """Bytes safely received before the interruption (0 before any)."""
+        return 0 if self.checkpoint is None else self.checkpoint.total_bytes()
 
 
 def _connect_sessions(go: "GlobusOnline", user: "GOUser", job: TransferJob):

@@ -454,7 +454,13 @@ class GridFTPClient:
         session._pooled = pooled
         session._pool_username = username
         if login:
-            session.login(username=username)
+            try:
+                session.login(username=username)
+            except BaseException:
+                # a failed login leaves no half-logged-in session open
+                # on the server
+                channel.close()
+                raise
         return session
 
     # -- local data-channel posture --------------------------------------------

@@ -310,7 +310,7 @@ class GridFTPSession(ServerSession):
             self.peer = validate_chain(credential.chain, self.server.trust, self.world.now)
         except (ProtocolError, CertificateError) as exc:
             # "If authentication is not successful, the connection is dropped."
-            self.closed = True
+            self.close()
             self.world.emit("gridftp.auth.fail", "control channel auth failed",
                             server=self.server.name, reason=str(exc))
             return [f"535 Authentication failed: {exc}"]

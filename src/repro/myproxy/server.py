@@ -18,7 +18,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.auth.pam import PamStack
-from repro.errors import PamError, ProtocolError, ReproError
+from repro.errors import CertificateError, PamError, ProtocolError, ReproError
 from repro.myproxy.protocol import LogonRequest, LogonResponse
 from repro.net.sockets import Listener, ServerSession, Service, listen, close_listener
 from repro.pki.ca import CertificateAuthority
@@ -103,14 +103,20 @@ class MyProxyOnlineCA(Service):
     def logon(self, username: str, passphrase: str, lifetime_s: float | None = None) -> Credential:
         """Authenticate via PAM and issue a short-lived credential.
 
-        Raises :class:`~repro.errors.PamError` on authentication failure
-        (with a deliberately generic message).
+        ``lifetime_s`` None asks for :attr:`DEFAULT_LIFETIME`; any other
+        value must be finite and positive, or :class:`CertificateError`
+        is raised before PAM runs or a key is drawn.  Raises
+        :class:`~repro.errors.PamError` on authentication failure (with a
+        deliberately generic message).
         """
+        if lifetime_s is not None and not (math.isfinite(lifetime_s) and lifetime_s > 0):
+            raise CertificateError(f"lifetime {lifetime_s} is not finite and positive")
         with self.world.tracer.span(
             "myproxy.logon", site=self.site_name, username=username
         ):
             self.pam.authenticate(username, passphrase)  # raises on failure
-            lifetime = min(lifetime_s or self.DEFAULT_LIFETIME, self.max_lifetime_s)
+            requested = self.DEFAULT_LIFETIME if lifetime_s is None else lifetime_s
+            lifetime = min(requested, self.max_lifetime_s)
             credential = self.ca.issue_credential(
                 self.user_subject(username),
                 lifetime=lifetime,

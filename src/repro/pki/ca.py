@@ -12,9 +12,10 @@ MyProxy certificates genuinely expire as simulated time advances.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from repro.errors import SigningPolicyError
+from repro.errors import CertificateError, SigningPolicyError
 from repro.pki.certificate import Certificate
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
@@ -141,8 +142,11 @@ class CertificateAuthority:
         host was too busy to run it), the CA first makes
         :data:`~repro.pki.rsa.AHEAD` keys without one, twice as many
         after each further starvation, so a host that stays busy pays for
-        few probes.
+        few probes.  A ``lifetime`` that is not finite and positive raises
+        :class:`CertificateError` before a key is drawn.
         """
+        if not (math.isfinite(lifetime) and lifetime > 0):
+            raise CertificateError(f"lifetime {lifetime} is not finite and positive")
         helper = self._helper
         live = helper is not None and not helper.closed
         key = generate_keypair(key_bits, self.rng, helper)

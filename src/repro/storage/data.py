@@ -51,6 +51,8 @@ _MAX_SYNTH_READ = 64 * 1024 * 1024
 class FileData(ABC):
     """Immutable file content."""
 
+    __slots__ = ()
+
     @property
     @abstractmethod
     def size(self) -> int:
@@ -69,7 +71,7 @@ class FileData(ABC):
         return self.read(0, self.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralData(FileData):
     """Real bytes held in memory."""
 
@@ -95,7 +97,7 @@ class LiteralData(FileData):
         return "sha256:" + _sha256_hex(self.content)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticData(FileData):
     """Deterministic pseudo-random content defined by (seed, size).
 
@@ -179,8 +181,13 @@ class PartialData(FileData):
             raise StorageError(
                 f"cannot promote partial file: {missing.total_bytes()} bytes missing"
             )
-        if self.synthetic_source is not None:
-            return SyntheticData(self.synthetic_source.seed, self.expected_size)
+        source = self.synthetic_source
+        if source is not None:
+            # synthetic content is its (seed, length): a file of the
+            # source's length shares the source's frozen definition
+            if source.length == self.expected_size:
+                return source
+            return SyntheticData(source.seed, self.expected_size)
         if (
             len(self.fragments) == 1
             and self.fragments[0][0] == 0

@@ -8,7 +8,9 @@ bypasses checks.  Paths are absolute, ``/``-separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.errors import (
     FileExistsStorageError,
@@ -45,16 +47,27 @@ def _plain_cut(path: str) -> int:
     return 0
 
 
+#: the children of every file: one shared, read-only, empty mapping
+_NO_CHILDREN: Mapping[str, "_Node"] = MappingProxyType({})
+
+
 @dataclass(slots=True)
 class _Node:
+    """A file or a directory; only a directory owns a ``children`` dict."""
+
     name: str
     owner_uid: int
     mode: int
     mtime: float
-    is_dir: bool
+    #: a directory's own dict, or ``_NO_CHILDREN`` for a file
+    children: Mapping[str, "_Node"]
     data: FileData | None = None
     partial: PartialData | None = None
-    children: dict[str, "_Node"] = field(default_factory=dict)
+
+    @property
+    def is_dir(self) -> bool:
+        """True for a directory: a node that owns its children."""
+        return self.children is not _NO_CHILDREN
 
     def permits(self, uid: int, want: int) -> bool:
         """Unix-style permission check for ``uid``."""
@@ -75,7 +88,7 @@ class PosixStorage(DataStorageInterface):
     def __init__(self, clock: Clock) -> None:
         self.clock = clock
         self.root = _Node(
-            name="/", owner_uid=0, mode=0o755, mtime=clock.now, is_dir=True
+            name="/", owner_uid=0, mode=0o755, mtime=clock.now, children={}
         )
         # namespace version: bumped by any mutation that can change how a
         # path resolves or whether a walk is permitted (mkdir/delete/
@@ -224,7 +237,8 @@ class PosixStorage(DataStorageInterface):
         node = parent.children.get(name)
         if node is None:
             node = _Node(
-                name=name, owner_uid=uid, mode=0o644, mtime=self.clock.now, is_dir=False
+                name=name, owner_uid=uid, mode=0o644, mtime=self.clock.now,
+                children=_NO_CHILDREN,
             )
             parent.children[name] = node
         node.data = data
@@ -237,7 +251,8 @@ class PosixStorage(DataStorageInterface):
         node = parent.children.get(name)
         if node is None:
             node = _Node(
-                name=name, owner_uid=uid, mode=0o644, mtime=self.clock.now, is_dir=False
+                name=name, owner_uid=uid, mode=0o644, mtime=self.clock.now,
+                children=_NO_CHILDREN,
             )
             parent.children[name] = node
         node.partial = partial
@@ -261,7 +276,7 @@ class PosixStorage(DataStorageInterface):
         if name in parent.children:
             raise FileExistsStorageError(f"{path!r} already exists")
         parent.children[name] = _Node(
-            name=name, owner_uid=uid, mode=0o755, mtime=self.clock.now, is_dir=True
+            name=name, owner_uid=uid, mode=0o755, mtime=self.clock.now, children={}
         )
         self._bump_ns()
 
@@ -279,7 +294,7 @@ class PosixStorage(DataStorageInterface):
         node = parent.children.get(name)
         if node is None:
             raise FileNotFoundStorageError(f"no such path: {path!r}")
-        if node.is_dir and node.children:
+        if node.children:
             raise StorageError(f"directory not empty: {path!r}")
         if not parent.permits(uid, _W):
             raise PermissionDeniedError(f"uid {uid} cannot delete from {path!r}")

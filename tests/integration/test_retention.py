@@ -1,21 +1,30 @@
 """What a finished job or logon leaves behind.
 
 A hosted service keeps running jobs and logons; once one is done it
-should keep the record and nothing its work needed.  Four tests pin a
+should keep the record and nothing its work needed.  Each test pins a
 thing the simulator used to keep: a finished task's closures, one path
 cache entry per file, whole rng-state tuples in the key-generation memo,
-and closed control-channel sessions on their server.  One more checks
-that a memo hit, replayed from packed states, still leaves the rng where
-a full key generation does.
+closed or refused control-channel sessions on their server, a
+``children`` dict per file, a copy of each synthetic source per
+destination, and an empty checkpoint per job.  One more checks that a
+memo hit, replayed from packed states, still leaves the rng where a full
+key generation does.
 """
 
 import gc
 import random
 import weakref
 
+import pytest
+
+from repro.errors import AuthenticationError, NotADirectoryStorageError
 from repro.globusonline.transfer import JobStatus
+from repro.gridftp.client import GridFTPClient
 from repro.pki import rsa
+from repro.pki.validation import TrustStore
 from repro.sim.clock import Clock
+from repro.storage import posix
+from repro.storage.data import LiteralData
 from repro.storage.posix import PosixStorage
 from repro.util import opcount
 from repro.util.memo import Memo
@@ -110,3 +119,58 @@ def test_a_closed_session_leaves_its_server(simple_pair):
     session.quit()
     assert server_session.closed
     assert server_session not in site.server.sessions
+
+
+def test_a_refused_login_leaves_no_session_on_its_server(simple_pair):
+    world, site, laptop = simple_pair
+    # the client cannot validate the server's chain: no trust anchor
+    stranger = GridFTPClient(world, laptop, credential=site.proxy_for(world, "alice"),
+                             trust=TrustStore(), username="alice")
+    # the server maps the client to no account
+    alice = site.client_for(world, "alice", laptop)
+    with pytest.raises(AuthenticationError):
+        stranger.connect(site.server)
+    with pytest.raises(AuthenticationError):
+        alice.connect(site.server, username="nobody")
+    assert site.server.sessions == {}
+
+
+def test_a_failed_adat_closes_its_session(simple_pair):
+    world, site, laptop = simple_pair
+    session = site.server.open_session(laptop)
+    session.handle("AUTH GSSAPI")
+    (reply,) = session.handle("ADAT bm90IGEgY2hhaW4=")
+    assert reply.startswith("535 ")
+    assert session.closed
+    assert site.server.sessions == {}
+
+
+def test_every_file_shares_one_read_only_empty_children_mapping():
+    fs = PosixStorage(Clock())
+    fs.write_file("/d/f", b"x")
+    fs.write_file("/d/g", b"y")
+    f, g = fs._walk("/d/f", 0), fs._walk("/d/g", 0)
+    assert f.children is g.children is posix._NO_CHILDREN
+    assert not f.is_dir and fs._walk("/d", 0).is_dir
+    with pytest.raises(TypeError):
+        f.children["x"] = f
+    with pytest.raises(NotADirectoryStorageError):
+        fs.commit_file("/d/f/x", 0, LiteralData(b"z"))
+    with pytest.raises(NotADirectoryStorageError):
+        fs.mkdir("/d/f/e", 0)
+    assert fs.listdir("/d", 0) == ["f", "g"]
+
+
+def test_a_fault_free_synthetic_job_keeps_no_copy_and_no_checkpoint(world):
+    go, ep_a, ep_b = build(world)
+    write_src(ep_a, "/home/alice/f.dat", 16 * MB)
+    user = activate(go)
+    job = go.submit_transfer(user, "alcf#dtn", "/home/alice/f.dat",
+                             "nersc#dtn", "/home/asmith/f.dat", defer=True)
+    go.process_queue()
+    assert job.status is JobStatus.SUCCEEDED
+    source = ep_a.storage._walk("/home/alice/f.dat", 0).data
+    assert ep_b.storage._walk("/home/asmith/f.dat", 0).data is source
+    assert job.faults_survived == 0
+    assert job.checkpoint is None
+    assert job.bytes_at_checkpoint == 0

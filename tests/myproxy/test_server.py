@@ -3,12 +3,14 @@
 import pytest
 
 from repro.auth import Control, LdapDirectory, LdapPamModule, PamStack
-from repro.errors import PamError
+from repro.errors import PamError, ReproError
 from repro.myproxy.server import MyProxyOnlineCA
 from repro.pki.dn import DistinguishedName as DN
 from repro.pki.validation import TrustStore, validate_chain
+from repro.sim.world import World
 from repro.util.units import DAY, HOUR
 from repro.util.units import gbps
+from tests.conftest import make_gcmu_site
 
 
 @pytest.fixture
@@ -141,6 +143,25 @@ def test_logon_with_nan_lifetime_issues_nothing(ca_env):
     with pytest.raises(CertificateError):
         myproxy.logon("alice", "pw", float("nan"))
     assert myproxy.issued_count == 0
+
+
+@pytest.mark.parametrize("lifetime", [0, -5, float("nan"), float("inf")])
+def test_in_process_logon_refuses_lifetime_before_pam_and_key_search(lifetime):
+    """0 is no request for the default, and +inf no request for the cap."""
+    world = World(seed=1)
+    world.network.add_host("dtn", nic_bps=gbps(10))
+    myproxy = make_gcmu_site(world, "dtn", "alcf", {"alice": "pw"}).myproxy
+    before = myproxy.ca.rng.getstate()
+    with pytest.raises(ReproError, match="not finite and positive"):
+        myproxy.logon("alice", "pw", lifetime)
+    assert myproxy.ca.rng.getstate() == before
+    assert myproxy.issued_count == 0
+    # a refused lifetime draws no key: the next logon gets the key a
+    # fresh site's first logon gets
+    twin = World(seed=1)
+    twin.network.add_host("dtn", nic_bps=gbps(10))
+    first = make_gcmu_site(twin, "dtn", "alcf", {"alice": "pw"}).myproxy.logon("alice", "pw")
+    assert myproxy.logon("alice", "pw").key == first.key
 
 
 def test_logon_charges_processing_time(ca_env):

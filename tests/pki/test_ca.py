@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SigningPolicyError
+from repro.errors import CertificateError, SigningPolicyError
 from repro.pki.ca import CertificateAuthority, self_signed_credential
 from repro.pki.dn import DistinguishedName as DN
 from repro.pki.policy import SigningPolicy
@@ -44,6 +44,15 @@ def test_issue_certificate(clock, rng):
     assert cert.verify_signature(ca.key.public)
     assert cert.not_after - cert.not_before == DAY
     assert not cert.is_ca
+
+
+@pytest.mark.parametrize("lifetime", [0, -5, float("nan"), float("inf")])
+def test_issue_credential_refuses_lifetime_before_drawing_a_key(clock, rng, lifetime):
+    ca = make_ca(clock, rng)
+    before = ca.rng.getstate()
+    with pytest.raises(CertificateError, match="not finite and positive"):
+        ca.issue_credential(DN.parse("/O=Test/CN=alice"), lifetime=lifetime)
+    assert ca.rng.getstate() == before
 
 
 def test_issuance_uses_clock(clock, rng):
