@@ -14,14 +14,13 @@ recognize locally-issued certificates (Section IV.C).
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from repro.auth.pam import PamStack
-from repro.errors import CertificateError, PamError, ProtocolError, ReproError
+from repro.errors import PamError, ReproError
 from repro.myproxy.protocol import LogonRequest, LogonResponse
 from repro.net.sockets import Listener, ServerSession, Service, listen, close_listener
-from repro.pki.ca import CertificateAuthority
+from repro.pki.ca import CertificateAuthority, check_lifetime
 from repro.pki.credential import Credential
 from repro.pki.dn import DistinguishedName
 from repro.pki.policy import SigningPolicy
@@ -104,13 +103,13 @@ class MyProxyOnlineCA(Service):
         """Authenticate via PAM and issue a short-lived credential.
 
         ``lifetime_s`` None asks for :attr:`DEFAULT_LIFETIME`; any other
-        value must be finite and positive, or :class:`CertificateError`
-        is raised before PAM runs or a key is drawn.  Raises
-        :class:`~repro.errors.PamError` on authentication failure (with a
-        deliberately generic message).
+        value must pass :func:`~repro.pki.ca.check_lifetime`, or
+        :class:`CertificateError` is raised before PAM runs or a key is
+        drawn.  Raises :class:`~repro.errors.PamError` on authentication
+        failure (with a deliberately generic message).
         """
-        if lifetime_s is not None and not (math.isfinite(lifetime_s) and lifetime_s > 0):
-            raise CertificateError(f"lifetime {lifetime_s} is not finite and positive")
+        if lifetime_s is not None:
+            check_lifetime(lifetime_s)
         with self.world.tracer.span(
             "myproxy.logon", site=self.site_name, username=username
         ):
@@ -157,8 +156,7 @@ class MyProxySession(ServerSession):
         """Process one request line (ServerSession interface)."""
         try:
             request = LogonRequest.decode(line)
-            if not (math.isfinite(request.lifetime_s) and request.lifetime_s > 0):
-                raise ProtocolError(f"lifetime {request.lifetime_s} is not finite and positive")
+            check_lifetime(request.lifetime_s)
         except Exception as exc:
             return [LogonResponse(ok=False, error=f"bad request: {exc}").encode()]
         self.server.world.clock.advance(self.PROCESSING_TIME_S)

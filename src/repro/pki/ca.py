@@ -25,6 +25,14 @@ from repro.sim.clock import Clock
 from repro.util.units import DAY, HOUR
 
 
+def check_lifetime(lifetime: float) -> None:
+    """Raise :class:`CertificateError` unless ``lifetime`` (seconds) is
+    finite and positive: the one rule for a requested certificate
+    lifetime, on the wire and in process."""
+    if not (math.isfinite(lifetime) and lifetime > 0):
+        raise CertificateError(f"lifetime {lifetime} is not finite and positive")
+
+
 class CertificateAuthority:
     """A CA: root certificate + key + serial counter + optional self-policy.
 
@@ -142,11 +150,10 @@ class CertificateAuthority:
         host was too busy to run it), the CA first makes
         :data:`~repro.pki.rsa.AHEAD` keys without one, twice as many
         after each further starvation, so a host that stays busy pays for
-        few probes.  A ``lifetime`` that is not finite and positive raises
-        :class:`CertificateError` before a key is drawn.
+        few probes.  A ``lifetime`` that :func:`check_lifetime` refuses
+        raises :class:`CertificateError` before a key is drawn.
         """
-        if not (math.isfinite(lifetime) and lifetime > 0):
-            raise CertificateError(f"lifetime {lifetime} is not finite and positive")
+        check_lifetime(lifetime)
         helper = self._helper
         live = helper is not None and not helper.closed
         key = generate_keypair(key_bits, self.rng, helper)
