@@ -146,7 +146,8 @@ class ControlChannelPool:
     silently discards the entry and reports a miss; the caller then
     performs the real handshake, which reproduces whatever the fresh
     world would have done — success or failure — with identical charges.
-    Entries are LRU-bounded; ``REPRO_NO_SESSION_CACHE`` disables pooling
+    Entries are LRU-bounded; ``REPRO_NO_SESSION_CACHE``, read when the
+    world is built (:func:`repro.util.memo.enabled`), disables pooling
     entirely.
     """
 
@@ -643,8 +644,8 @@ class ClientSession:
         self._options_applied = options
 
     def dcsc(self, blob_or_default: str) -> Reply:
-        """Send a DCSC command: a P blob, or "D" to revert."""
-        if blob_or_default.upper() == "D":
+        """Send a DCSC command: a P blob, or "D" (either case) to revert."""
+        if blob_or_default in ("D", "d"):
             return self.command("DCSC D")
         return self.command(f"DCSC P {blob_or_default}")
 

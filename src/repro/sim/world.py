@@ -25,6 +25,7 @@ from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.random import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import Tracer
+from repro.util import memo
 from repro.util.logging import Event, EventLog
 
 
@@ -44,6 +45,10 @@ class World:
     ``span_capacity`` the tracer's retained spans (ring-buffer eviction)
     for fleet-scale runs; the defaults keep everything.  At
     ``trace=False`` they bound nothing, since nothing is kept.
+
+    Building a world reads ``REPRO_NO_SESSION_CACHE`` (see
+    :mod:`repro.util.memo`): the session caches follow the variable as
+    it was when the newest world was built.
     """
 
     def __init__(
@@ -54,6 +59,7 @@ class World:
         span_capacity: int | None = None,
         trace: bool = False,
     ) -> None:
+        memo.read_switch()
         self.clock = Clock(start_time)
         self.scheduler = Scheduler(self.clock)
         self.faults = FaultPlan()

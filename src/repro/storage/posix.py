@@ -281,12 +281,23 @@ class PosixStorage(DataStorageInterface):
         self._bump_ns()
 
     def makedirs(self, path: str, uid: int) -> None:
-        """Create every missing component of ``path`` (mkdir -p)."""
+        """Create every missing component of ``path`` (mkdir -p).
+
+        One walk as root, the walk :meth:`exists` makes, finds the first
+        missing component; it and each below it are made by :meth:`mkdir`
+        as ``uid``.  A path that already resolves changes nothing.
+        """
         parts = split_path(path)
-        for i in range(1, len(parts) + 1):
-            prefix = "/" + "/".join(parts[:i])
-            if not self.exists(prefix):
-                self.mkdir(prefix, uid)
+        node = self.root
+        for i, part in enumerate(parts):
+            if not node.is_dir:
+                raise NotADirectoryStorageError(f"{node.name!r} is not a directory")
+            child = node.children.get(part)
+            if child is None:
+                for j in range(i + 1, len(parts) + 1):
+                    self.mkdir("/" + "/".join(parts[:j]), uid)
+                return
+            node = child
 
     def delete(self, path: str, uid: int) -> None:
         """Remove a file (DELE)."""

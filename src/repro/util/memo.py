@@ -9,8 +9,12 @@ switching them off changes how fast the simulator reaches an outcome,
 never the outcome.
 
 ``REPRO_NO_SESSION_CACHE`` (any non-empty value) switches every memo
-off, and the control-channel pool with them; :func:`enabled` is the one
-place that reads it, on every call, so tests can flip it per test.
+off, and the control-channel pool with them.  :func:`read_switch` is the
+one place that reads it: at import, and again whenever a
+:class:`~repro.sim.world.World` is built, so the variable takes effect
+for the next world.  :func:`enabled` returns the flag that read stored;
+the warm path asks it several times per job, and an environment lookup
+of a missing key costs two raised ``KeyError`` each time.
 """
 
 from __future__ import annotations
@@ -24,9 +28,19 @@ from typing import Any, Callable, Hashable
 MEMOS: "weakref.WeakSet[Memo]" = weakref.WeakSet()
 
 
+def read_switch() -> bool:
+    """Read ``REPRO_NO_SESSION_CACHE`` into the flag :func:`enabled` returns."""
+    global _enabled
+    _enabled = not os.environ.get("REPRO_NO_SESSION_CACHE")
+    return _enabled
+
+
+_enabled = read_switch()
+
+
 def enabled() -> bool:
-    """True unless ``REPRO_NO_SESSION_CACHE`` is set (read on every call)."""
-    return not os.environ.get("REPRO_NO_SESSION_CACHE")
+    """True unless ``REPRO_NO_SESSION_CACHE`` was set at the last :func:`read_switch`."""
+    return _enabled
 
 
 class Memo:
@@ -56,7 +70,7 @@ class Memo:
         An entry for which ``valid(value)`` is False is dropped and
         counts as a miss.
         """
-        value = self._entries.pop(key, None) if enabled() else None
+        value = self._entries.pop(key, None) if _enabled else None
         if value is None or (valid is not None and not valid(value)):
             self.misses += 1
             return None
@@ -66,7 +80,7 @@ class Memo:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` under ``key`` at the back, evicting if full."""
-        if not enabled():
+        if not _enabled:
             return
         entries = self._entries
         if entries.pop(key, None) is None and len(entries) >= self.max_entries:

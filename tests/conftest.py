@@ -44,6 +44,7 @@ from repro.pki.proxy import create_proxy
 from repro.pki.validation import TrustStore
 from repro.sim.world import World
 from repro.storage.posix import PosixStorage
+from repro.util import memo
 from repro.util.units import gbps, mbps
 
 
@@ -58,16 +59,37 @@ def world(request: pytest.FixtureRequest) -> World:
     return World(seed=42, trace=traced(request))
 
 
+@pytest.fixture(autouse=True)
+def _session_cache_flag(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Give back the session-cache flag each test found.
+
+    Building a world reads ``REPRO_NO_SESSION_CACHE`` into the flag
+    :func:`repro.util.memo.enabled` returns, so a test that flips the
+    variable and builds a world would otherwise leave its setting to the
+    tests after it.
+    """
+    monkeypatch.setattr(memo, "_enabled", memo._enabled)
+
+
 @pytest.fixture
 def cache_on(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Session caches on, even in a run under ``REPRO_NO_SESSION_CACHE``."""
+    """Session caches on, even in a run under ``REPRO_NO_SESSION_CACHE``.
+
+    Sets the variable, for the worlds the test builds, and the flag, for
+    a world another fixture built first.
+    """
     monkeypatch.delenv("REPRO_NO_SESSION_CACHE", raising=False)
+    monkeypatch.setattr(memo, "_enabled", True)
 
 
 @pytest.fixture
 def cache_off(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Session caches off (``REPRO_NO_SESSION_CACHE=1``) for one test."""
+    """Session caches off (``REPRO_NO_SESSION_CACHE=1``) for one test.
+
+    Sets the variable and the flag, as :func:`cache_on` does.
+    """
     monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
+    monkeypatch.setattr(memo, "_enabled", False)
 
 
 @dataclass

@@ -115,3 +115,24 @@ def test_servers_do_not_share_parses(two_domain_world, cache_on):
         }
         contexts.append(ss.dcsc)
     assert contexts[0] == contexts[1] and contexts[0] is not contexts[1]
+
+
+# -- the client's DCSC command ------------------------------------------------
+
+
+def test_client_sends_d_in_either_case_as_the_default_and_any_blob_as_p(simple_pair):
+    world, site, laptop = simple_pair
+    session = site.client_for(world, "alice", laptop).connect(site.server)
+    sent = []
+    send = session.command
+    session.command = lambda line: sent.append(line) or send(line)
+    blob = encode_dcsc_blob(site.user_credentials["alice"])
+    for default in ("D", "d"):
+        session.dcsc(blob)
+        assert session.server_session.dcsc is not None
+        session.dcsc(default)
+        assert session.server_session.dcsc is None
+    # base64 of "test": a blob that starts with "d", refused as no credential
+    with pytest.raises(ProtocolError, match="malformed DCSC blob"):
+        session.dcsc("dGVzdA==")
+    assert sent == [f"DCSC P {blob}", "DCSC D"] * 2 + ["DCSC P dGVzdA=="]

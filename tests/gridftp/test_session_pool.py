@@ -210,7 +210,8 @@ def test_invalidate_host_drops_entries_for_that_host():
 
 def test_escape_hatch_disables_pooling(monkeypatch):
     monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
-    world, site, client = _build()
+    world, site, client = _build()  # the world reads the variable
+    assert not memo.enabled()
     s = client.connect(site.server, pooled=True)
     s.release()
     assert s.channel.closed

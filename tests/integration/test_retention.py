@@ -26,7 +26,7 @@ from repro.sim.clock import Clock
 from repro.storage import posix
 from repro.storage.data import LiteralData
 from repro.storage.posix import PosixStorage
-from repro.util import opcount
+from repro.util import memo, opcount
 from repro.util.memo import Memo
 from repro.util.units import MB
 from tests.globusonline.test_fleet_scheduling import activate, build, write_src
@@ -84,9 +84,9 @@ def test_a_keygen_memo_hit_restores_a_full_generations_state(cache_on, monkeypat
         pair = rsa.generate_keypair(128, rng)
         return (pair.n, pair.d), rng.getstate()
 
-    monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
+    monkeypatch.setattr(memo, "_enabled", False)  # REPRO_NO_SESSION_CACHE=1
     full = [generate(state) for state in states]
-    monkeypatch.delenv("REPRO_NO_SESSION_CACHE")
+    monkeypatch.setattr(memo, "_enabled", True)
     before = opcount.snapshot()
     for _ in range(2):
         assert [generate(state) for state in states] == full

@@ -1,8 +1,10 @@
 """Property tests for the encoding layers (PEM, base64, DCSC blobs)."""
 
 import random
+import re
+import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.util.encoding import (
@@ -19,6 +21,33 @@ def test_b64_round_trip(data):
     encoded = b64encode_str(data)
     assert is_printable_ascii(encoded)
     assert b64decode_str(encoded) == data
+
+
+#: the scan ``is_printable_ascii`` ran before its body moved to C
+_NON_PRINTABLE = re.compile(r"[^\x20-\x7e]")
+
+# the ASCII edges often, any code point (lone surrogates too) sometimes
+_code_points = st.one_of(
+    st.characters(min_codepoint=0, max_codepoint=0x80),
+    st.characters(exclude_categories=()),
+)
+
+
+@given(st.text(_code_points))
+@example("")
+@example(" ~")
+@example("\x1f")
+@example("\x7f")
+@example("\x80")
+@example("\ud800")
+@example("blob\udfff")
+def test_is_printable_ascii_equals_the_regex(text):
+    assert is_printable_ascii(text) == (_NON_PRINTABLE.search(text) is None)
+
+
+def test_is_printable_ascii_equals_the_regex_on_every_code_point():
+    for c in map(chr, range(sys.maxunicode + 1)):
+        assert is_printable_ascii(c) == (_NON_PRINTABLE.search(c) is None), hex(ord(c))
 
 
 _label = st.sampled_from(["CERTIFICATE", "RSA PRIVATE KEY", "X509 CRL"])

@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.sim.clock import Clock
 from repro.storage.data import LiteralData
-from repro.storage.posix import PosixStorage
+from repro.storage.posix import PosixStorage, split_path
 
 ALICE, BOB = 1000, 1001
 
@@ -188,3 +188,107 @@ def test_rename_next_to_itself_still_allowed(fs):
     assert fs.open_read("/ab/b/f", 0).read_all() == b"x"
     fs.rename("/ab/b", "/b", 0)
     assert fs.listdir("/", 0) == ["ab", "b", "home"]
+
+
+# -- makedirs and write_file: mkdir -p, measured against the prefix walk -------
+
+
+class _PrefixMakedirs(PosixStorage):
+    """``makedirs`` as first written: test every prefix from the root."""
+
+    def makedirs(self, path: str, uid: int) -> None:
+        parts = split_path(path)
+        for i in range(1, len(parts) + 1):
+            prefix = "/" + "/".join(parts[:i])
+            if not self.exists(prefix):
+                self.mkdir(prefix, uid)
+
+
+def _state(fs):
+    """Every node's attributes by path, and the namespace version."""
+    rows, stack = {}, [("/", fs.root)]
+    while stack:
+        path, node = stack.pop()
+        rows[path] = (node.owner_uid, node.mode, node.mtime, node.is_dir, id(node.data))
+        stack.extend((path.rstrip("/") + "/" + name, child)
+                     for name, child in node.children.items())
+    return rows, fs._ns_version
+
+
+_DATA = LiteralData(b"payload")
+
+
+def _built(cls=PosixStorage):
+    """``/home/alice``, owned by alice, holding a file ``f``; then t=5."""
+    fs = cls(Clock())
+    fs.makedirs("/home/alice", 0)
+    fs.chown("/home/alice", ALICE)
+    fs.write_file("/home/alice/f", _DATA, uid=ALICE)
+    fs.clock.advance(5.0)
+    return fs
+
+
+def _outcome(fs, verb, path, uid):
+    """What one call returns or raises, and the tree it leaves."""
+    try:
+        if verb == "makedirs":
+            result = ("ok", fs.makedirs(path, uid))
+        else:
+            result = ("ok", fs.write_file(path, _DATA, uid))
+    except StorageError as exc:
+        result = ("raise", type(exc).__name__, str(exc))
+    return result, _state(fs)
+
+
+_CALLS = [
+    *[("makedirs", path, uid)
+      for path in ("/", "/home", "/home/alice", "/home/alice/f", "/home/alice/f/g",
+                   "/home/alice/new/deeper", "/home/bob/x", "/home//alice/", "relative")
+      for uid in (0, ALICE)],
+    *[("write_file", path, uid)
+      for path in ("/home/alice/g", "/home/alice/f", "/home/alice/f/g",
+                   "/srv/a/b/g", "/home//alice/g")
+      for uid in (0, ALICE)],
+]
+
+
+@pytest.mark.parametrize("verb, path, uid", _CALLS)
+def test_makedirs_and_write_file_match_the_prefix_walk(verb, path, uid):
+    got = _outcome(_built(), verb, path, uid)
+    assert got == _outcome(_built(_PrefixMakedirs), verb, path, uid)
+
+
+@pytest.mark.parametrize("verb, path", [("makedirs", "/home/alice"),
+                                        ("write_file", "/home/alice/g")])
+def test_an_existing_parent_is_left_alone(verb, path):
+    fs = _built()
+    rows, version = _state(fs)
+    assert _outcome(fs, verb, path, ALICE)[0] == ("ok", None)
+    after, after_version = _state(fs)
+    assert after_version == version
+    assert {p: row for p, row in after.items() if row[3]} == {
+        p: row for p, row in rows.items() if row[3]
+    }
+
+
+def test_write_file_creates_missing_parents_as_root():
+    fs = _built()
+    fs.write_file("/srv/a/b/g", _DATA, uid=ALICE)
+    rows, _ = _state(fs)
+    assert [rows[p][:2] for p in ("/srv", "/srv/a", "/srv/a/b")] == [(0, 0o755)] * 3
+    assert rows["/srv/a/b/g"][:2] == (ALICE, 0o644)
+
+
+def test_a_file_in_a_parents_place_is_not_a_directory(fs):
+    fs.write_file("/home/alice/f", b"x", uid=ALICE)
+    with pytest.raises(NotADirectoryStorageError):
+        fs.write_file("/home/alice/f/g", b"y")
+    with pytest.raises(NotADirectoryStorageError):
+        fs.makedirs("/home/alice/f/g/h", 0)
+
+
+def test_makedirs_on_an_existing_file_returns_silently(fs):
+    fs.write_file("/home/alice/f", b"x", uid=ALICE)
+    before = _state(fs)
+    assert fs.makedirs("/home/alice/f", ALICE) is None
+    assert _state(fs) == before

@@ -2,14 +2,13 @@
 
 The first half pins :class:`~repro.util.memo.Memo`'s mechanics: LRU
 order, the bound and its eviction count, the counters, the validity
-predicate, and :func:`~repro.util.memo.enabled` being read on every
-call.  The second half runs under ``REPRO_NO_SESSION_CACHE=1`` and
-checks that the switch reaches each cache: the keygen memo, the
-credential and certificate parse memos, a server's DCSC blob memo, and
-the proxy a login delegates.
+predicate, and ``REPRO_NO_SESSION_CACHE`` taking effect when a
+:class:`~repro.sim.world.World` is built.  The second half runs under
+``REPRO_NO_SESSION_CACHE=1`` and checks that the switch reaches each
+cache: the keygen memo, the credential and certificate parse memos, a
+server's DCSC blob memo, and the proxy a login delegates.
 """
 
-import os
 import random
 
 import pytest
@@ -87,12 +86,18 @@ def test_a_switched_off_memo_misses_and_stores_nothing(cache_off):
     assert memo.misses == 1
 
 
-def test_no_session_cache_env_is_read_per_call(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SESSION_CACHE", raising=False)
-    assert enabled()
+def test_no_session_cache_env_is_read_when_a_world_is_built(cache_on, monkeypatch):
+    memo = Memo("t", 4)
     monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
+    assert enabled()  # no world built since the variable changed
+    memo.put("k", "v")
+    World(seed=1)
     assert not enabled()
-    assert os.environ.get("REPRO_NO_SESSION_CACHE") == "1"
+    assert memo.get("k") is None
+    monkeypatch.delenv("REPRO_NO_SESSION_CACHE")
+    assert not enabled()
+    World(seed=1)
+    assert enabled()
 
 
 # -- the switch reaches every cache ---------------------------------------------
