@@ -11,6 +11,7 @@ while a warm drain runs, and requires none.  Failure paths (faults,
 refused logins) raise by design and are left out of the drain.
 """
 
+import os
 import sys
 from collections import Counter
 
@@ -35,7 +36,11 @@ def _wave(go, ep_a, accounts, wave):
 
 
 def _raised_during(fn, *args):
-    """``fn(*args)``, and a count of exception events by (type, file, function)."""
+    """``fn(*args)``, and a count of exception events by (type, file, function).
+
+    The tracer that was running (a coverage run's) is set aside for the
+    call and put back after it, so what follows is still measured.
+    """
     raised = Counter()
 
     def on_call(frame, event, arg):
@@ -48,12 +53,32 @@ def _raised_during(fn, *args):
             raised[(arg[0].__name__, code.co_filename, code.co_name)] += 1
         return on_event
 
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         result = fn(*args)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return result, raised
+
+
+def _environ_miss():
+    return os.environ.get("REPRO_WARM_PATH_UNSET_VARIABLE")
+
+
+def test_the_guard_counts_a_caught_exception_and_gives_back_the_tracer():
+    def outer(frame, event, arg):
+        return None
+
+    found = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        _, raised = _raised_during(_environ_miss)
+        after = sys.gettrace()
+    finally:
+        sys.settrace(found)
+    assert after is outer
+    assert sum(n for (name, _, _), n in raised.items() if name == "KeyError") >= 1
 
 
 def test_a_warm_drain_raises_nothing(world, cache_on):

@@ -6,6 +6,7 @@ the test pins only what the gate compares and how it reports.
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,21 @@ def test_any_moved_digest_fails_the_gate(check_digests, monkeypatch, capsys, mov
     if moved:
         assert ("go_many_users seed 2: committed 56dd9c23c22e935b, "
                 "now 0000000000000000  DIFFERS") in out
+
+
+@pytest.mark.parametrize("code", [0, 1], ids=["clean", "check-failed"])
+def test_a_run_that_exits_nonzero_has_no_digest(check_digests, monkeypatch, capsys, code):
+    # run.py prints the first repetition's digest before it compares the
+    # others, so a run whose seed-2 repetition disagrees still prints one.
+    stdout = ("# workload=go_storm seed=2 seconds=6 trace=0 repetitions=3 rounds=3 "
+              "determinism_digest=5c41a7d5aea14530\n")
+    if code:
+        stdout += "CHECK FAILED: repetition 2 differs from repetition 1\n"
+
+    def run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, code, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(check_digests.subprocess, "run", run)
+    got = check_digests.run_digest("go_storm", 2, 6)
+    assert got == ("none (run.py exited 1)" if code else "5c41a7d5aea14530")
+    assert ("CHECK FAILED" in capsys.readouterr().err) == bool(code)

@@ -9,8 +9,10 @@ compares the ``determinism_digest`` the run prints with the committed
 one.  A digest hashes the timed region's virtual-time metrics, op
 tallies and world counters, so the host's speed never moves it: a
 change that only makes the simulator faster leaves every digest equal.
-Exits 1 on any difference.  A change meant to move outcomes copies the
-printed digests into the file.
+Exits 1 on any difference, and when a run exits nonzero (its
+repetitions disagree, or an output check fails); that run's output is
+echoed.  A change meant to move outcomes copies the printed digests
+into the file.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ def run_digest(workload: str, seed: int, seconds: int) -> str:
         capture_output=True, text=True,
     )
     match = _DIGEST.search(proc.stdout)
-    return match.group(1) if match else f"none (run.py exited {proc.returncode})"
+    if proc.returncode == 0 and match:
+        return match.group(1)
+    # run.py prints its digest before it checks the other repetitions, so a
+    # run that prints one and then fails a check has no digest to compare.
+    sys.stderr.write(proc.stdout + proc.stderr)
+    return f"none (run.py exited {proc.returncode})"
 
 
 def main() -> int:
