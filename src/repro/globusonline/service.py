@@ -46,6 +46,7 @@ from repro.scheduler import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
+    from repro.telemetry.metrics import CounterChild
 
 
 @dataclass
@@ -117,6 +118,9 @@ class GlobusOnline:
         self.users: dict[str, GOUser] = {}
         self.jobs: dict[str, TransferJob | BatchTransferJob] = {}
         self._job_ids = itertools.count(1)
+        # globusonline_activations_total{method}, bound at each method's
+        # first activation
+        self._activations: dict[str, CounterChild] = {}
         # recovery posture for all jobs: exponential backoff with seeded
         # jitter, and a breaker per endpoint pair so a dead site stops
         # consuming attempts across jobs.
@@ -252,10 +256,13 @@ class GlobusOnline:
             return activation
 
     def _count_activation(self, method: str) -> None:
-        self.world.metrics.counter(
-            "globusonline_activations_total", "Endpoint activations by method",
-            labelnames=("method",),
-        ).inc(method=method)
+        child = self._activations.get(method)
+        if child is None:
+            child = self._activations[method] = self.world.metrics.counter(
+                "globusonline_activations_total", "Endpoint activations by method",
+                labelnames=("method",),
+            ).labels(method=method)
+        child.inc()
 
     def activate_oauth(
         self,

@@ -255,7 +255,7 @@ class ControlChannelPool:
             self._miss()
             return None
         world.clock.advance(1.5 * path.rtt_s)  # TCP handshake, as sockets.connect
-        channel._path = path
+        channel.path = path
         try:
             for _ in range(3):  # the AUTH, ADAT, USER round trips
                 channel._check_open()

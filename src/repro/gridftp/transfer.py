@@ -18,7 +18,7 @@ protection, transport, block size), then:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import TransferError, TransferFaultError
 from repro.gridftp.dcau import DataChannelAuthCache, DataChannelSecurity, DCAUMode
@@ -32,6 +32,9 @@ from repro.storage.dsi import WriteSink
 from repro.util.ranges import ByteRangeSet
 from repro.xio.drivers import GsiProtectDriver, Protection, TcpDriver, UdtDriver
 from repro.xio.stack import XIOStack
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.faults import FaultPlan
 
 
 _File = TypeVar("_File")
@@ -162,11 +165,14 @@ class _TransferProfile:
     transfer is waste.  Cached values are the *identical* floats the
     inline computation produced — virtual-time outcomes cannot drift.
     Invalidation: the owning cache is keyed by the network's
-    ``topology_version``.
+    ``topology_version``.  Which of the route's resources have any
+    scheduled fault is kept too, stamped with the fault plan and its
+    ``version`` (:meth:`exposure`).
     """
 
     __slots__ = ("flows", "nstripes", "max_rtt", "stack", "stack_describe",
-                 "rate_bps", "links", "hosts", "setup_extra", "plan")
+                 "rate_bps", "links", "hosts", "setup_extra", "plan",
+                 "_stamp", "_exposed")
 
     def __init__(self, engine: "TransferEngine", source: "SourceSpec",
                  sink: "SinkSpec", options: "TransferOptions") -> None:
@@ -191,6 +197,27 @@ class _TransferProfile:
                   for f in self.flows)
         )
         self.plan = ModeEPlan.plan(source.data.size, options.block_size, None)
+        self._stamp: tuple[FaultPlan | None, int] = (None, -1)
+        self._exposed: tuple[tuple[str, ...], ...] = ((), (), ())
+
+    def exposure(self, world: World) -> tuple[tuple[str, ...], ...]:
+        """Check every flow's path is up now; return the route's faulted
+        (links with outages, hosts with crashes, links with degradations).
+
+        The subsets are derived again only when the plan has changed, and
+        the paths are checked only when some link or host has an outage
+        scheduled: on a clean route no check can raise.
+        """
+        faults = world.faults
+        plan, version = self._stamp
+        if plan is not faults or version != faults.version:
+            self._exposed = faults.faulted(self.links, self.hosts)
+            self._stamp = (faults, faults.version)
+        exposed = self._exposed
+        if exposed[0] or exposed[1]:
+            for f in self.flows:
+                world.network.check_path_up(f.path)
+        return exposed
 
 
 class TransferEngine:
@@ -386,10 +413,7 @@ class TransferEngine:
     ) -> TransferResult:
         world = self.world
         prof = self._profile(source, sink, options)
-        flows = prof.flows
-        network = world.network
-        for f in flows:
-            network.check_path_up(f.path)
+        f_links, f_hosts, d_links = prof.exposure(world)
 
         window_start = world.now
 
@@ -410,7 +434,6 @@ class TransferEngine:
             raise TransferError("zero achievable rate on every flow")
         # chaos degradation episodes slow the transfer without cutting it;
         # only links with any scheduled episode can change the factor
-        f_links, f_hosts, d_links = world.faults.faulted(prof.links, prof.hosts)
         degrade = (
             world.faults.bandwidth_factor(d_links, window_start) if d_links else 1.0
         )

@@ -28,6 +28,7 @@ from repro.util.units import HOUR
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
+    from repro.telemetry.metrics import CounterChild
 
 
 class MyProxyOnlineCA(Service):
@@ -65,6 +66,8 @@ class MyProxyOnlineCA(Service):
             policy=SigningPolicy.namespace(subject, namespace),
         )
         self.issued_count = 0
+        # myproxy_certs_issued_total{site}, bound at the first issue
+        self._issued: CounterChild | None = None
         self._listener: Listener | None = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -125,11 +128,13 @@ class MyProxyOnlineCA(Service):
                 },
             )
             self.issued_count += 1
-            self.world.metrics.counter(
-                "myproxy_certs_issued_total",
-                "Short-lived certificates issued by online CAs",
-                labelnames=("site",),
-            ).inc(site=self.site_name)
+            if self._issued is None:
+                self._issued = self.world.metrics.counter(
+                    "myproxy_certs_issued_total",
+                    "Short-lived certificates issued by online CAs",
+                    labelnames=("site",),
+                ).labels(site=self.site_name)
+            self._issued.inc()
             self.world.emit(
                 "myproxy.issue",
                 "short-lived credential issued",

@@ -20,6 +20,7 @@ from repro.net.sockets import ServerSession, connect
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.topology import Network, PathStats
+    from repro.sim.faults import FaultPlan
 
 
 class ControlChannel:
@@ -27,6 +28,12 @@ class ControlChannel:
 
     ``proc_time_s`` models per-command server processing; it is tiny but
     nonzero so that pipelined batches still take measurable time.
+
+    Every command first checks that the route and both endpoints' control
+    planes are up.  Most routes carry no fault at all, so the channel
+    keeps which of its route's resources and endpoints have any scheduled
+    fault, stamped with the fault plan and its ``version``, and checks
+    only when that exposure is not empty.
     """
 
     DEFAULT_PROC_TIME = 200e-6
@@ -45,6 +52,10 @@ class ControlChannel:
         self._session: ServerSession | None = None
         self._path: "PathStats | None" = None
         self.closed = False
+        # (plan, version) the exposure below was derived from
+        self._stamp: "tuple[FaultPlan | None, int]" = (None, -1)
+        self._path_exposed = False
+        self._control_exposed: tuple[str, ...] = ()
         self._connect()
 
     def _connect(self) -> None:
@@ -55,6 +66,12 @@ class ControlChannel:
         """The network path from the client host to the server's address."""
         assert self._path is not None
         return self._path
+
+    @path.setter
+    def path(self, stats: "PathStats") -> None:
+        if stats is not self._path:  # another route: derive its exposure anew
+            self._path = stats
+            self._stamp = (None, -1)
 
     @property
     def rtt_s(self) -> float:
@@ -68,18 +85,32 @@ class ControlChannel:
             raise NetworkError("channel is closed")
         return self._session
 
+    def _expose(self, faults: "FaultPlan") -> None:
+        """Which of this channel's route and endpoints ``faults`` can touch."""
+        links, hosts, _ = faults.faulted(self.path.link_ids, self.path.hosts)
+        self._path_exposed = bool(links or hosts)
+        self._control_exposed = tuple(
+            host for host in (self.address[0], self.client_host)
+            if faults.has_control_faults(host)
+        )
+        self._stamp = (faults, faults.version)
+
     def _check_open(self) -> None:
         if self.closed or self._session is None:
             raise NetworkError("channel is closed")
-        self.network.check_path_up(self.path)
+        world = self.network.world
+        faults = world.faults
+        plan, version = self._stamp
+        if plan is not faults or version != faults.version:
+            self._expose(faults)
+        if self._path_exposed:
+            self.network.check_path_up(self.path)
         # control-plane chaos: the path is up but the endpoint's control
         # listener is unreachable (disconnect / listener restart).
-        faults = self.network.world.faults
-        now = self.network.world.now
-        for host in (self.address[0], self.client_host):
-            if faults.control_down(host, now):
+        for host in self._control_exposed:
+            if faults.control_down(host, world.now):
                 raise ControlChannelDownError(
-                    f"control channel to {host} is down at t={now:.3f}"
+                    f"control channel to {host} is down at t={world.now:.3f}"
                 )
 
     def request(self, line: str) -> list[str]:

@@ -59,6 +59,60 @@ class RecoveryOutcome:
     total_backoff_s: float
 
 
+class _Series:
+    """One component's recovery series, bound once per world.
+
+    Globus Online builds an engine per job; binding the component's ten
+    children here, at the first engine, leaves the loop and every later
+    engine no registry lookup or label to resolve.
+    """
+
+    __slots__ = ("attempts", "retries", "retries_legacy", "faults", "backoff",
+                 "recovered", "exhausted", "deadline", "marker_corruptions",
+                 "attempt_seconds")
+
+    def __init__(self, world: "World", component: str) -> None:
+        metrics = world.metrics
+
+        def counter(name: str, help: str):
+            return metrics.counter(name, help, labelnames=("component",)).labels(
+                component=component)
+
+        self.attempts = counter(
+            "recovery_attempts_total", "Operation attempts made under recovery loops")
+        self.retries = counter(
+            "recovery_retries_total", "Attempts that were retries of a failed attempt")
+        self.retries_legacy = counter(
+            "retries_total", "Transfer attempts retried after a failure")
+        self.faults = counter(
+            "recovery_faults_total", "Retryable failures absorbed by recovery loops")
+        self.backoff = counter(
+            "recovery_backoff_seconds_total", "Virtual seconds spent backing off")
+        self.recovered = counter(
+            "recovery_recovered_total", "Loops that succeeded after at least one failure")
+        self.exhausted = counter(
+            "recovery_exhausted_total", "Loops that gave up after exhausting their policy")
+        self.deadline = counter(
+            "recovery_deadline_exceeded_total",
+            "Attempts that overran the per-attempt deadline")
+        self.marker_corruptions = counter(
+            "recovery_marker_corruptions_total",
+            "Restart markers discarded or truncated by recovery loops")
+        self.attempt_seconds = metrics.histogram(
+            "recovery_attempt_seconds",
+            "Virtual seconds one recovery attempt spent executing",
+            labelnames=("component",)).labels(component=component)
+
+    @classmethod
+    def for_world(cls, world: "World", component: str) -> "_Series":
+        """The component's series in ``world`` (bound on first use)."""
+        bound = world.__dict__.setdefault("_recovery_series", {})
+        series = bound.get(component)
+        if series is None:
+            series = bound[component] = cls(world, component)
+        return series
+
+
 class RecoveryEngine:
     """Drives operations under a :class:`RetryPolicy` (+ optional breaker)."""
 
@@ -80,37 +134,7 @@ class RecoveryEngine:
         # the jitter stream, derived at the first backoff: most loops
         # never back off, and deriving it later draws the same values
         self._rng: random.Random | None = None
-        # resolve every instrument once: the loop body runs per attempt on
-        # the fleet hot path, and registry lookups there are pure overhead
-        self._attempts_c = self._counter(
-            "recovery_attempts_total", "Operation attempts made under recovery loops")
-        self._retries_new = self._counter(
-            "recovery_retries_total", "Attempts that were retries of a failed attempt")
-        self._retries_legacy = self._counter(
-            "retries_total", "Transfer attempts retried after a failure")
-        self._faults_c = self._counter(
-            "recovery_faults_total", "Retryable failures absorbed by recovery loops")
-        self._backoff_c = self._counter(
-            "recovery_backoff_seconds_total", "Virtual seconds spent backing off")
-        self._recovered_c = self._counter(
-            "recovery_recovered_total", "Loops that succeeded after at least one failure")
-        self._exhausted_c = self._counter(
-            "recovery_exhausted_total", "Loops that gave up after exhausting their policy")
-        self._deadline_c = self._counter(
-            "recovery_deadline_exceeded_total", "Attempts that overran the per-attempt deadline")
-        self._marker_corruptions_c = self._counter(
-            "recovery_marker_corruptions_total",
-            "Restart markers discarded or truncated by recovery loops")
-        self._attempt_h = world.metrics.histogram(
-            "recovery_attempt_seconds",
-            "Virtual seconds one recovery attempt spent executing",
-            labelnames=("component",))
-        self._attempt_obs = self._attempt_h.labels(component=component)
-
-    # -- counters ---------------------------------------------------------------
-
-    def _counter(self, name: str, help: str):
-        return self.world.metrics.counter(name, help, labelnames=("component",))
+        self._series = _Series.for_world(world, component)
 
     # -- the loop -----------------------------------------------------------------
 
@@ -138,14 +162,7 @@ class RecoveryEngine:
         world = self.world
         policy = self.policy
         component = self.component
-        attempts_c = self._attempts_c
-        retries_new = self._retries_new
-        retries_legacy = self._retries_legacy
-        faults_c = self._faults_c
-        backoff_c = self._backoff_c
-        recovered_c = self._recovered_c
-        exhausted_c = self._exhausted_c
-        deadline_c = self._deadline_c
+        series = self._series
 
         started = world.now
         checkpoint: ByteRangeSet | None = None
@@ -166,10 +183,10 @@ class RecoveryEngine:
                     self.breaker.check(endpoint)
                 if wait_clear is not None:
                     wait_clear(attempt_no)
-                attempts_c.inc(component=component)
+                series.attempts.inc()
                 if attempt_no > 1:
-                    retries_new.inc(component=component)
-                    retries_legacy.inc(component=component)
+                    series.retries.inc()
+                    series.retries_legacy.inc()
                 attempt_started = world.now
                 try:
                     try:
@@ -181,20 +198,20 @@ class RecoveryEngine:
                         # inner finally: duration excludes the backoff the
                         # except handler sleeps through below
                         ctx = world.tracer.current
-                        self._attempt_obs.observe(
+                        series.attempt_seconds.observe(
                             world.now - attempt_started,
                             exemplar=ctx.trace_id if ctx is not None else None)
                 except retry_on as exc:
                     last_exc = exc
                     faults_survived += 1
-                    faults_c.inc(component=component)
+                    series.faults.inc()
                     if self.breaker is not None and endpoint is not None:
                         self.breaker.record_failure(endpoint)
                     if (
                         policy.attempt_timeout_s is not None
                         and world.now - attempt_started > policy.attempt_timeout_s
                     ):
-                        deadline_c.inc(component=component)
+                        series.deadline.inc()
                     if isinstance(exc, TransferFaultError) and exc.received is not None:
                         checkpoint = self._absorb_marker(checkpoint, exc.received)
                     if on_failure is not None:
@@ -222,7 +239,7 @@ class RecoveryEngine:
                             budget_s=policy.max_elapsed_s,
                         )
                         break
-                    backoff_c.inc(delay, component=component)
+                    series.backoff.inc(delay)
                     total_backoff += delay
                     world.emit(
                         "recovery.backoff", "backing off before retry",
@@ -233,7 +250,7 @@ class RecoveryEngine:
                     if self.breaker is not None and endpoint is not None:
                         self.breaker.record_success(endpoint)
                     if attempt_no > 1:
-                        recovered_c.inc(component=component)
+                        series.recovered.inc()
                     world.emit(
                         "recovery.succeeded", f"{describe} complete",
                         component=component, attempts=attempt_no,
@@ -248,7 +265,7 @@ class RecoveryEngine:
                         total_backoff_s=total_backoff,
                     )
 
-            exhausted_c.inc(component=component)
+            series.exhausted.inc()
             world.emit(
                 "recovery.exhausted", f"{describe} failed after {attempt_no} attempts",
                 component=component, attempts=attempt_no,
@@ -278,18 +295,18 @@ class RecoveryEngine:
         """
         text = format_restart_marker(received)
         filtered = self.world.chaos.filter_marker(text)
-        corruptions = self._marker_corruptions_c
+        corruptions = self._series.marker_corruptions
         try:
             marker = parse_restart_marker(filtered)
         except ProtocolError as exc:
-            corruptions.inc(component=self.component)
+            corruptions.inc()
             self.world.emit(
                 "recovery.marker_corrupt", "restart marker unparseable; discarded",
                 component=self.component, error=str(exc),
             )
             return checkpoint
         if filtered != text:
-            corruptions.inc(component=self.component)
+            corruptions.inc()
             self.world.emit(
                 "recovery.marker_truncated", "restart marker truncated in flight",
                 component=self.component,

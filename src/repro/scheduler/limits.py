@@ -29,6 +29,7 @@ from repro.scheduler.queue import ScheduledTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
+    from repro.telemetry.metrics import CounterChild
 
 #: fallback retry-after hint before any task has completed
 DEFAULT_RETRY_AFTER_S = 30.0
@@ -106,13 +107,15 @@ class AdmissionController:
             "scheduler_rejected_total",
             "Submissions refused by admission control",
             labelnames=shard_labels + ("reason",))
+        # per-reason children of _rejected_c, bound at the first rejection
+        self._rejected_by_reason: dict[str, CounterChild] = {}
         self._inflight_tasks_g = metrics.gauge(
             "scheduler_inflight_tasks", "Claims currently holding capacity",
-            labelnames=shard_labels)
+            labelnames=shard_labels).labels(**self._metric_shard)
         self._inflight_bytes_g = metrics.gauge(
             "scheduler_inflight_bytes",
             "Size-hint bytes of claims currently holding capacity",
-            labelnames=shard_labels)
+            labelnames=shard_labels).labels(**self._metric_shard)
 
     # -- submit-time admission -------------------------------------------
 
@@ -142,7 +145,11 @@ class AdmissionController:
             )
 
     def _reject(self, reason: str, task: ScheduledTask, retry_after_s: float) -> None:
-        self._rejected_c.inc(reason=reason, **self._metric_shard)
+        child = self._rejected_by_reason.get(reason)
+        if child is None:
+            child = self._rejected_by_reason[reason] = self._rejected_c.labels(
+                reason=reason, **self._metric_shard)
+        child.inc()
         self._rejections[reason] = self._rejections.get(reason, 0) + 1
         self.world.emit(
             "scheduler.rejected", "submission refused by admission control",
@@ -186,8 +193,8 @@ class AdmissionController:
                 self._active_per_endpoint.get(endpoint, 0) + 1)
             self._bytes_per_endpoint[endpoint] = (
                 self._bytes_per_endpoint.get(endpoint, 0) + task.size_hint)
-        self._inflight_tasks_g.inc(**self._metric_shard)
-        self._inflight_bytes_g.inc(task.size_hint, **self._metric_shard)
+        self._inflight_tasks_g.inc()
+        self._inflight_bytes_g.inc(task.size_hint)
 
     def on_finish(self, task: ScheduledTask, service_s: float | None = None) -> None:
         """Release a claim's capacity (completion, failure, or lapse)."""
@@ -196,8 +203,8 @@ class AdmissionController:
                 0, self._active_per_endpoint.get(endpoint, 0) - 1)
             self._bytes_per_endpoint[endpoint] = max(
                 0, self._bytes_per_endpoint.get(endpoint, 0) - task.size_hint)
-        self._inflight_tasks_g.dec(**self._metric_shard)
-        self._inflight_bytes_g.dec(task.size_hint, **self._metric_shard)
+        self._inflight_tasks_g.dec()
+        self._inflight_bytes_g.dec(task.size_hint)
         if service_s is not None:
             self.service_ewma.update(service_s)
 

@@ -270,14 +270,11 @@ class ShardedFleetScheduler:
                         f"drain did not converge within {max_ticks} ticks")
                 serviced += self._tick()
                 for shard in self.shards:
-                    shard._depth_g.set(
-                        len(shard.queue) + len(shard.coalescer),
-                        **shard._metric_shard)
+                    shard._depth_g.set(len(shard.queue) + len(shard.coalescer))
         finally:
             sweep.cancel()
         for shard in self.shards:
-            shard._fair_error_g.set(shard.queue.fair_share_error(),
-                                    **shard._metric_shard)
+            shard._fair_error_g.set(shard.queue.fair_share_error())
         return serviced
 
     def _sweep_heartbeats(self) -> None:
@@ -313,7 +310,7 @@ class ShardedFleetScheduler:
         free_by_shard: list[list[Worker]] = []
         for shard in self.shards:
             shard_claims, free, alive = shard._claim_phase(now)
-            shard._workers_alive_g.set(alive, **shard._metric_shard)
+            shard._workers_alive_g.set(alive)
             claims.extend((shard, w, lease) for w, lease in shard_claims)
             free_by_shard.append(free)
 

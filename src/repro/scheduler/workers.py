@@ -55,6 +55,7 @@ __all__ = [
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
+    from repro.telemetry.metrics import CounterChild
 
 #: queue-wait / service-time buckets (virtual seconds, fleet scale)
 _WAIT_BUCKETS = (0.1, 1.0, 5.0, 15.0, 60.0, 300.0, 1800.0, 3600.0, 6 * 3600.0)
@@ -159,69 +160,69 @@ class FleetScheduler:
         self._event_shard = dict(self._metric_shard)
         shard_labels = () if shard is None else ("shard",)
 
-        # pre-register every scheduler_* instrument so the series are
-        # visible in Prometheus exposition from init, before any traffic
+        # pre-register every scheduler_* series so it is visible in
+        # Prometheus exposition from init, before any traffic; each is
+        # bound here, so dispatch resolves no labels
         metrics = world.metrics
-        self._submitted_c = metrics.counter(
-            "scheduler_submitted_total", "Tasks accepted into the fleet queue",
-            labelnames=shard_labels)
-        self._completed_c = metrics.counter(
-            "scheduler_completed_total", "Tasks serviced to completion",
-            labelnames=shard_labels)
-        self._failed_c = metrics.counter(
+        labels = self._metric_shard
+
+        def counter(name: str, help: str) -> CounterChild:
+            return metrics.counter(name, help, labelnames=shard_labels).labels(**labels)
+
+        self._submitted_c = counter(
+            "scheduler_submitted_total", "Tasks accepted into the fleet queue")
+        self._completed_c = counter(
+            "scheduler_completed_total", "Tasks serviced to completion")
+        self._failed_c = counter(
             "scheduler_task_failures_total",
-            "Tasks abandoned after exhausting their claim attempts or raising",
-            labelnames=shard_labels)
-        self._requeued_c = metrics.counter(
-            "scheduler_requeued_total", "Tasks returned to the queue by lease lapses",
-            labelnames=shard_labels)
-        self._expired_c = metrics.counter(
-            "scheduler_lease_expirations_total", "Leases that lapsed without release",
-            labelnames=shard_labels)
-        self._crashes_c = metrics.counter(
-            "scheduler_worker_crashes_total", "Claims lost to worker host crashes",
-            labelnames=shard_labels)
-        self._batches_c = metrics.counter(
+            "Tasks abandoned after exhausting their claim attempts or raising")
+        self._requeued_c = counter(
+            "scheduler_requeued_total", "Tasks returned to the queue by lease lapses")
+        self._expired_c = counter(
+            "scheduler_lease_expirations_total", "Leases that lapsed without release")
+        self._crashes_c = counter(
+            "scheduler_worker_crashes_total", "Claims lost to worker host crashes")
+        self._batches_c = counter(
             "scheduler_batches_coalesced_total",
-            "Batch tasks built by small-file coalescing",
-            labelnames=shard_labels)
-        self._batched_files_c = metrics.counter(
-            "scheduler_batched_files_total", "Single-file tasks folded into batches",
-            labelnames=shard_labels)
+            "Batch tasks built by small-file coalescing")
+        self._batched_files_c = counter(
+            "scheduler_batched_files_total", "Single-file tasks folded into batches")
         self._bytes_c = metrics.counter(
             "scheduler_bytes_delivered_total", "Bytes delivered, by user",
             labelnames=shard_labels + ("user",))
-        for counter in (self._submitted_c, self._completed_c, self._failed_c,
-                        self._requeued_c, self._expired_c, self._crashes_c,
-                        self._batches_c, self._batched_files_c):
-            counter.inc(0, **self._metric_shard)
+        # per-user children of _bytes_c, bound at each user's first completion
+        self._bytes_by_user: dict[str, CounterChild] = {}
+        for child in (self._submitted_c, self._completed_c, self._failed_c,
+                      self._requeued_c, self._expired_c, self._crashes_c,
+                      self._batches_c, self._batched_files_c):
+            child.inc(0)
         self._depth_g = metrics.gauge(
             "scheduler_queue_depth", "Tasks waiting for dispatch",
-            labelnames=shard_labels)
+            labelnames=shard_labels).labels(**labels)
         self._fair_error_g = metrics.gauge(
             "scheduler_fair_share_error",
             "Max |byte share - weight share| across active users",
-            labelnames=shard_labels)
+            labelnames=shard_labels).labels(**labels)
         self._workers_alive_g = metrics.gauge(
             "scheduler_workers_alive", "Workers whose hosts are currently up",
-            labelnames=shard_labels)
-        self._depth_g.set(0, **self._metric_shard)
-        self._fair_error_g.set(0, **self._metric_shard)
+            labelnames=shard_labels).labels(**labels)
+        self._depth_g.set(0)
+        self._fair_error_g.set(0)
         # the fair-share-error gauge costs O(active users) to recompute;
         # refresh it every completion for small fleets but amortize to
         # one full pass per ~lanes/64 completions at 100k-user scale
         # (run_until_idle always leaves it freshly computed on exit)
         self._fair_stride = 1
         self._since_fair = 0
-        self._workers_alive_g.set(self.config.workers, **self._metric_shard)
+        self._workers_alive_g.set(self.config.workers)
         self._wait_h = metrics.histogram(
             "scheduler_queue_wait_seconds",
             "Virtual seconds between submit and first claim",
-            buckets=_WAIT_BUCKETS, labelnames=shard_labels)
+            buckets=_WAIT_BUCKETS, labelnames=shard_labels).labels(**labels)
         self._service_h = metrics.histogram(
             "scheduler_service_seconds",
             "Virtual seconds a claim spent executing",
-            buckets=_WAIT_BUCKETS, labelnames=shard_labels)
+            buckets=_WAIT_BUCKETS, labelnames=shard_labels).labels(**labels)
         # limits gauges are registered by the AdmissionController
 
     # -- submission --------------------------------------------------------
@@ -244,7 +245,7 @@ class FleetScheduler:
         if not task.task_id:
             task.task_id = self.next_task_id()
         task.submitted_at = self.world.now
-        self._submitted_c.inc(**self._metric_shard)
+        self._submitted_c.inc()
         with self.world.tracer.span(
             "scheduler.submit", task=task.task_id, user=task.user
         ) as sp:
@@ -260,8 +261,15 @@ class FleetScheduler:
             absorbed = self.coalescer.add(task)
             if absorbed is not None:
                 self.queue.push(absorbed)
-        self._depth_g.set(len(self.queue) + len(self.coalescer), **self._metric_shard)
+        self._depth_g.set(len(self.queue) + len(self.coalescer))
         return task
+
+    def _user_bytes(self, user: str) -> CounterChild:
+        child = self._bytes_by_user.get(user)
+        if child is None:
+            child = self._bytes_by_user[user] = self._bytes_c.labels(
+                user=user, **self._metric_shard)
+        return child
 
     def set_weight(self, user: str, weight: float) -> None:
         """Assign a user's fair-share weight."""
@@ -298,12 +306,10 @@ class FleetScheduler:
                     raise SchedulerError(
                         f"drain did not converge within {max_ticks} ticks")
                 serviced += self._tick()
-                self._depth_g.set(len(self.queue) + len(self.coalescer),
-                                  **self._metric_shard)
+                self._depth_g.set(len(self.queue) + len(self.coalescer))
         finally:
             sweep.cancel()
-        self._fair_error_g.set(self.queue.fair_share_error(),
-                               **self._metric_shard)
+        self._fair_error_g.set(self.queue.fair_share_error())
         # surface how much of the drain's login traffic the control-channel
         # pool absorbed (only when a pool saw any traffic this world)
         pool = getattr(self.world, "_control_channel_pool", None)
@@ -325,8 +331,8 @@ class FleetScheduler:
         task = self.fold_batch(bucket)
         if not task.task_id:
             task.task_id = self.next_task_id()
-        self._batches_c.inc(**self._metric_shard)
-        self._batched_files_c.inc(len(bucket.tasks), **self._metric_shard)
+        self._batches_c.inc()
+        self._batched_files_c.inc(len(bucket.tasks))
         self.world.emit(
             "scheduler.coalesced", "small files folded into one batch task",
             task=task.task_id, user=bucket.user, files=len(bucket.tasks),
@@ -358,8 +364,7 @@ class FleetScheduler:
         lease = self.leases.grant(task, worker.worker_id, now, self.config.lease_s)
         task.claimed_at = now
         wait_s = now - task.submitted_at
-        self._wait_h.observe(wait_s, exemplar=task.trace_id or None,
-                             **self._metric_shard)
+        self._wait_h.observe(wait_s, exemplar=task.trace_id or None)
         if task.on_claim is not None:
             task.on_claim(task)
         world.emit(
@@ -379,7 +384,7 @@ class FleetScheduler:
             lease.abandoned = True
             worker.lease = lease
             worker.crashes += 1
-            self._crashes_c.inc(**self._metric_shard)
+            self._crashes_c.inc()
             world.emit(
                 "scheduler.worker_crashed", "worker lost mid-claim; lease will lapse",
                 task=task.task_id, worker=worker.worker_id, crash_at=crash_at,
@@ -420,7 +425,7 @@ class FleetScheduler:
         """One claim round: simultaneous claims, serial execution."""
         now = self.world.now
         claims, _free, alive = self._claim_phase(now)
-        self._workers_alive_g.set(alive, **self._metric_shard)
+        self._workers_alive_g.set(alive)
 
         executed = 0
         for worker, lease in claims:
@@ -454,7 +459,7 @@ class FleetScheduler:
                 except ReproError as exc:
                     task.state = TaskState.FAILED
                     task.error = str(exc)
-                    self._failed_c.inc(**self._metric_shard)
+                    self._failed_c.inc()
                     world.emit(
                         "scheduler.task_failed", "task raised during execution",
                         task=task.task_id, error=str(exc),
@@ -469,9 +474,8 @@ class FleetScheduler:
                     task.on_claim = task.on_requeue = None
                     task.delivered_bytes = delivered
                     self.queue.charge(task.user, delivered)
-                    self._bytes_c.inc(delivered, user=task.user,
-                                      **self._metric_shard)
-                    self._completed_c.inc(**self._metric_shard)
+                    self._user_bytes(task.user).inc(delivered)
+                    self._completed_c.inc()
                     self._completed.append(task)
                     world.emit(
                         "scheduler.task_done", "task serviced",
@@ -481,15 +485,13 @@ class FleetScheduler:
                     )
         finally:
             service_s = world.now - started
-            self._service_h.observe(service_s, exemplar=task.trace_id or None,
-                                    **self._metric_shard)
+            self._service_h.observe(service_s, exemplar=task.trace_id or None)
             self.leases.release(lease)
             self.admission.on_finish(task, service_s)
             self._since_fair += 1
             if self._since_fair >= self._fair_stride:
                 self._since_fair = 0
-                self._fair_error_g.set(self.queue.fair_share_error(),
-                                       **self._metric_shard)
+                self._fair_error_g.set(self.queue.fair_share_error())
                 self._fair_stride = max(1, self.queue.lane_count() // 64)
 
     def _sweep_heartbeats(self) -> None:
@@ -517,7 +519,7 @@ class FleetScheduler:
             task = lease.task
             self.leases.release(lease)
             self.admission.on_finish(task)
-            self._expired_c.inc(**self._metric_shard)
+            self._expired_c.inc()
             worker = self._workers_by_id.get(lease.worker_id)
             if worker is not None and worker.lease is lease:
                 worker.lease = None
@@ -533,7 +535,7 @@ class FleetScheduler:
                     f"abandoned after {task.attempts} lapsed claims "
                     f"(max_task_attempts={self.config.max_task_attempts})"
                 )
-                self._failed_c.inc(**self._metric_shard)
+                self._failed_c.inc()
                 if task.on_requeue is not None:
                     task.on_requeue(task)
                 world.emit(
@@ -543,7 +545,7 @@ class FleetScheduler:
                 )
                 continue
             self.queue.requeue(task)
-            self._requeued_c.inc(**self._metric_shard)
+            self._requeued_c.inc()
             if task.on_requeue is not None:
                 task.on_requeue(task)
 

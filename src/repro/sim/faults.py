@@ -25,6 +25,7 @@ things actually fail.  Two layers live here:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -177,9 +178,17 @@ class Fault:
 
 
 class FaultPlan:
-    """The set of scheduled faults for a simulation run."""
+    """The set of scheduled faults for a simulation run.
+
+    ``version`` counts the accepted mutations (every scheduled fault and
+    every :meth:`clear`).  A caller that keeps an answer derived from the
+    plan, such as which resources of a route have any fault at all,
+    stamps it with ``(plan, version)`` and derives it again once the
+    stamp is stale.
+    """
 
     def __init__(self) -> None:
+        self.version = 0
         self._faults: list[Fault] = []
         # one per-target interval index per kind: every query below is
         # per-resource, so none of them should pay for faults on
@@ -191,13 +200,18 @@ class FaultPlan:
     # -- construction --------------------------------------------------------
 
     def _add(self, fault: Fault) -> Fault:
-        if fault.duration <= 0:
+        # NaN fails every comparison, so each test is written to refuse it;
+        # an infinite duration is a fault that never ends, and is legal
+        if not math.isfinite(fault.start):
+            raise ValueError("fault start must be finite")
+        if not fault.duration > 0:
             raise ValueError("fault duration must be positive")
         if not 0.0 < fault.factor <= 1.0:
             raise ValueError("degradation factor must be in (0, 1]")
         self._faults.append(fault)
         self._index[fault.kind].add(fault.target, fault)
         self._faulted.clear()
+        self.version += 1
         return fault
 
     def cut_link(self, link_id: str, at: float, duration: float) -> Fault:
@@ -240,6 +254,10 @@ class FaultPlan:
         """Does ``link_id`` have any scheduled degradation episode at all?"""
         return link_id in self._index["degradation"]
 
+    def has_control_faults(self, host: str) -> bool:
+        """Does ``host`` have any scheduled control-channel drop at all?"""
+        return host in self._index["control"]
+
     def control_down(self, host: str, t: float) -> bool:
         """Is ``host``'s control plane unreachable at time ``t``?"""
         return self._index["control"].covers(host, t)
@@ -250,12 +268,14 @@ class FaultPlan:
         """(links with outages, hosts with crashes, links with degradations)
         among the listed ones.
 
-        Up-ness checks run per control-channel request and fault scans per
-        transfer, but most routes carry no fault at all (chaos campaigns
-        target specific hosts), and resources outside these subsets can
-        never change ``link_down``, ``host_down``, ``first_interruption``
-        or ``bandwidth_factor``.  Memoized per route until the next
-        mutation.
+        Up-ness checks and fault scans run per control-channel request and
+        per transfer, but most routes carry no fault at all (chaos
+        campaigns target specific hosts), and resources outside these
+        subsets can never change ``link_down``, ``host_down``,
+        ``first_interruption`` or ``bandwidth_factor``.  Memoized per
+        route until the next mutation; control channels and transfer
+        profiles also keep the answer for their route, stamped with
+        :attr:`version`.
         """
         key = (link_ids, hosts)
         hit = self._faulted.get(key)
@@ -355,6 +375,7 @@ class FaultPlan:
         for idx in self._index.values():
             idx.clear()
         self._faulted.clear()
+        self.version += 1
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ renders byte-identical to before.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -42,6 +44,9 @@ from typing import Any, Iterator, Sequence
 DEFAULT_TIME_BUCKETS: tuple[float, ...] = (
     0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0, 3600.0,
 )
+
+
+_INF = math.inf
 
 
 class MetricError(ValueError):
@@ -83,8 +88,12 @@ def _escape_help(text: str) -> str:
 
 
 def _fmt_value(value: float) -> str:
-    if value == float("inf"):
+    if value != value:
+        return "NaN"
+    if value == _INF:
         return "+Inf"
+    if value == -_INF:
+        return "-Inf"
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
@@ -122,6 +131,18 @@ class _Metric:
         raise NotImplementedError
 
 
+def _bad_increment(name: str, amount: float) -> MetricError:
+    """Why a counter refuses ``amount`` (negative, NaN or infinite)."""
+    if amount < 0:
+        return MetricError(f"counter {name} cannot decrease")
+    return MetricError(f"counter {name} needs a finite increment, got {amount!r}")
+
+
+def _bucket(buckets: tuple[float, ...], value: float) -> int:
+    """Index of the first bucket with ``value <= le``; NaN lands in +Inf."""
+    return bisect_left(buckets, value) if value == value else len(buckets)
+
+
 class CounterChild:
     """A counter bound to one labelset: ``inc`` with no label freezing.
 
@@ -138,9 +159,9 @@ class CounterChild:
         self._name = counter.name
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the bound series."""
-        if amount < 0:
-            raise MetricError(f"counter {self._name} cannot decrease")
+        """Add ``amount`` (finite and >= 0) to the bound series."""
+        if not 0 <= amount < _INF:
+            raise _bad_increment(self._name, amount)
         self._values[self._key] = self._values.get(self._key, 0.0) + amount
 
 
@@ -159,13 +180,8 @@ class HistogramChild:
     def observe(self, value: float, exemplar: str | None = None) -> None:
         """Record one observation on the bound series."""
         h, key = self._histogram, self._key
-        for i, bound in enumerate(h.buckets):
-            if value <= bound:
-                self._counts[i] += 1
-                break
-        else:
-            i = len(h.buckets)
-            self._counts[-1] += 1
+        i = _bucket(h.buckets, value)
+        self._counts[i] += 1
         h._sums[key] = h._sums.get(key, 0.0) + value
         h._totals[key] = h._totals.get(key, 0) + 1
         if exemplar is not None:
@@ -186,9 +202,9 @@ class Counter(_Metric):
         return CounterChild(self, self._key(labels))
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        """Add ``amount`` (must be >= 0) to one labelled series."""
-        if amount < 0:
-            raise MetricError(f"counter {self.name} cannot decrease")
+        """Add ``amount`` (finite and >= 0) to one labelled series."""
+        if not 0 <= amount < _INF:
+            raise _bad_increment(self.name, amount)
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -228,7 +244,8 @@ class GaugeChild:
         """Set the bound series to ``value``."""
         value = float(value)
         self._values[self._key] = value
-        self._high_water[self._key] = max(self._high_water.get(self._key, value), value)
+        if value == value:  # a NaN level never becomes the high-water mark
+            self._high_water[self._key] = max(self._high_water.get(self._key, value), value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` to the bound series."""
@@ -256,8 +273,9 @@ class Gauge(_Metric):
     def set(self, value: float, **labels: Any) -> None:
         """Set one labelled series to ``value``."""
         key = self._key(labels)
-        self._values[key] = float(value)
-        self._high_water[key] = max(self._high_water.get(key, float(value)), float(value))
+        value = self._values[key] = float(value)
+        if value == value:  # a NaN level never becomes the high-water mark
+            self._high_water[key] = max(self._high_water.get(key, value), value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` to one labelled series."""
@@ -327,13 +345,8 @@ class Histogram(_Metric):
         """Record one observation (``exemplar`` is an optional trace id)."""
         key = self._key(labels)
         counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            i = len(self.buckets)
-            counts[-1] += 1
+        i = _bucket(self.buckets, value)
+        counts[i] += 1
         self._sums[key] = self._sums.get(key, 0.0) + value
         self._totals[key] = self._totals.get(key, 0) + 1
         if exemplar is not None:

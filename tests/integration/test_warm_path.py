@@ -1,14 +1,17 @@
-"""A warm Globus Online drain raises no exception.
+"""A warm Globus Online drain re-derives nothing per job.
 
 Once the session caches are warm, every job of a drain asks questions
 whose answers cannot change between jobs: is the cache switch on, is
-this blob printable, does this directory exist.  When such a question
-is answered by raising and catching an exception (an environment lookup
-of a missing variable raises ``KeyError`` twice), each job pays for it,
-and cProfile charges the cost to the builtin that raised, where it is
-easy to miss.  This guard counts every exception raised, in any frame,
-while a warm drain runs, and requires none.  Failure paths (faults,
-refused logins) raise by design and are left out of the drain.
+this blob printable, does this directory exist, which metric series
+does this update go to, can a fault touch this route.  When such a
+question is answered by raising and catching an exception (an
+environment lookup of a missing variable raises ``KeyError`` twice),
+each job pays for it, and cProfile charges the cost to the builtin that
+raised, where it is easy to miss.  One guard counts every exception
+raised, in any frame, while a warm drain runs, and requires none.
+Failure paths (faults, refused logins) raise by design and are left out
+of the drain.  The other counts the registry lookups, label-set freezes
+and control-fault queries the drain makes, and requires none per job.
 """
 
 import os
@@ -16,6 +19,8 @@ import sys
 from collections import Counter
 
 from repro.globusonline.transfer import JobStatus
+from repro.sim.faults import FaultPlan
+from repro.telemetry import metrics
 from repro.util.units import KB, MB
 from tests.globusonline.test_fleet_scheduling import activate, build, write_src
 
@@ -88,3 +93,32 @@ def test_a_warm_drain_raises_nothing(world, cache_on):
     jobs, raised = _raised_during(_wave, go, ep_a, accounts, 1)
     assert [j.status for j in warm_up + jobs] == [JobStatus.SUCCEEDED] * 16
     assert raised == Counter()
+
+
+def _count_calls(monkeypatch, owner, name, calls, kind):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[kind] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_warm_drain_resolves_instruments_and_fault_exposure_once(world, cache_on,
+                                                                   monkeypatch):
+    go, ep_a, _ = build(world)
+    accounts = [activate(go, f"{name}@globusid", name, pw) for name, pw in USERS]
+    warm_up = _wave(go, ep_a, accounts, 0)
+    assert world.faults.faults("control") == ()
+    calls = Counter()
+    for name in ("counter", "gauge", "histogram"):
+        _count_calls(monkeypatch, metrics.MetricsRegistry, name, calls, "registry")
+    _count_calls(monkeypatch, metrics, "_freeze_labels", calls, "freeze")
+    _count_calls(monkeypatch, FaultPlan, "control_down", calls, "control_down")
+    jobs = _wave(go, ep_a, accounts, 1)
+    assert [j.status for j in warm_up + jobs] == [JobStatus.SUCCEEDED] * 16
+    # the drain's one lookup: the pool's reuse-ratio gauge, set as it ends
+    assert calls["registry"] <= 1
+    assert calls["freeze"] == 0
+    assert calls["control_down"] == 0

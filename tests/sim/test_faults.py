@@ -1,5 +1,7 @@
 """Fault plan queries."""
 
+import math
+
 import pytest
 
 from repro.sim.faults import Fault, FaultPlan
@@ -27,6 +29,54 @@ def test_zero_duration_rejected():
         plan.cut_link("l1", at=0.0, duration=0.0)
     with pytest.raises(ValueError):
         plan.crash_host("h", at=0.0, duration=-1.0)
+
+
+_SCHEDULE = {
+    "cut_link": lambda plan, at, duration: plan.cut_link("l1", at, duration),
+    "crash_host": lambda plan, at, duration: plan.crash_host("h1", at, duration),
+    "drop_control": lambda plan, at, duration: plan.drop_control("h1", at, duration),
+    "degrade_link": lambda plan, at, duration: plan.degrade_link("l1", at, duration, 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEDULE))
+def test_nan_duration_rejected(kind):
+    plan = FaultPlan()
+    with pytest.raises(ValueError, match="duration"):
+        _SCHEDULE[kind](plan, 5.0, math.nan)
+    assert plan.faults() == () and plan.version == 0
+
+
+@pytest.mark.parametrize("start", [math.nan, -math.inf, math.inf], ids=["nan", "-inf", "inf"])
+@pytest.mark.parametrize("kind", sorted(_SCHEDULE))
+def test_start_that_is_not_finite_rejected(kind, start):
+    plan = FaultPlan()
+    with pytest.raises(ValueError, match="start"):
+        _SCHEDULE[kind](plan, start, 5.0)
+    assert plan.faults() == () and plan.version == 0
+
+
+def test_a_fault_may_last_for_ever():
+    plan = FaultPlan()
+    plan.crash_host("h1", 3.0, math.inf)
+    assert plan.host_down("h1", 1e12) and not plan.host_down("h1", 2.0)
+    assert plan.next_clear_time((), ("h1",), 3.0) == math.inf
+
+
+def test_every_accepted_mutation_bumps_the_version():
+    plan = FaultPlan()
+    assert plan.version == 0
+    for kind in sorted(_SCHEDULE):
+        before = plan.version
+        _SCHEDULE[kind](plan, 1.0, 2.0)
+        assert plan.version == before + 1
+        with pytest.raises(ValueError):
+            _SCHEDULE[kind](plan, 1.0, 0.0)
+        assert plan.version == before + 1
+    plan.clear()
+    assert plan.version == 5
+    plan.clear()
+    assert plan.version == 6
 
 
 def test_first_interruption_finds_earliest():
@@ -123,5 +173,7 @@ def test_faulted_filters_the_route_and_follows_every_mutation():
     plan.degrade_link("l2", at=5.0, duration=1.0, factor=0.5)
     assert plan.faulted(*route) == (("l1",), ("b",), ("l2",))
     assert plan.faulted(("l3",), ("c",)) == ((), (), ())
+    assert plan.has_control_faults("a") and not plan.has_control_faults("b")
     plan.clear()
     assert plan.faulted(*route) == ((), (), ())
+    assert not plan.has_control_faults("a")

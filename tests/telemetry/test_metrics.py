@@ -1,6 +1,10 @@
 """Counters, gauges, histograms, and the Prometheus exposition format."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry.metrics import MetricError, MetricsRegistry
 
@@ -28,6 +32,26 @@ def test_counter_rejects_decrease(registry):
     c = registry.counter("ops_total")
     with pytest.raises(MetricError):
         c.inc(-1)
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["family", "child"])
+def test_counter_refuses_a_nan_increment(registry, bound):
+    c = registry.counter("ops_total")
+    inc = c.labels().inc if bound else c.inc
+    inc(2)
+    with pytest.raises(MetricError, match="finite"):
+        inc(float("nan"))
+    assert c.total() == 2
+    assert "ops_total 2\n" in registry.render_prometheus()
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["family", "child"])
+def test_counter_refuses_an_infinite_increment(registry, bound):
+    c = registry.counter("ops_total")
+    inc = c.labels().inc if bound else c.inc
+    with pytest.raises(MetricError, match="finite"):
+        inc(math.inf)
+    assert c.value() == 0
 
 
 def test_counter_label_mismatch_rejected(registry):
@@ -68,6 +92,20 @@ def test_gauge_up_down_and_high_water(registry):
     assert g.high_water() == 3
 
 
+@pytest.mark.parametrize("bound", [False, True], ids=["family", "child"])
+def test_gauge_high_water_skips_nan(registry, bound):
+    g = registry.gauge("level")
+    put = g.labels().set if bound else g.set
+    put(float("nan"))
+    assert math.isnan(g.value())
+    assert g.high_water() == 0
+    put(3)
+    put(1)
+    assert g.high_water() == 3
+    put(float("nan"))
+    assert g.high_water() == 3
+
+
 # -- histograms --------------------------------------------------------------
 
 
@@ -84,6 +122,34 @@ def test_histogram_bucket_edges_are_inclusive(registry):
     assert counts[float("inf")] == 4
     assert h.count() == 4
     assert h.sum() == pytest.approx(111.001)
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["family", "child"])
+def test_histogram_counts_nan_in_the_overflow_bucket(registry, bound):
+    h = registry.histogram("dur_seconds", buckets=(1.0, 5.0))
+    observe = h.labels().observe if bound else h.observe
+    observe(float("nan"), exemplar="trace-1")
+    assert h.bucket_counts() == {1.0: 0, 5.0: 0, math.inf: 1}
+    assert list(h.exemplars()) == [math.inf]
+
+
+_BOUNDS = st.floats(allow_nan=False, min_value=-1e6, max_value=1e6)
+
+
+@given(buckets=st.lists(_BOUNDS, min_size=1, max_size=8, unique=True),
+       values=st.lists(st.one_of(_BOUNDS, st.sampled_from(
+           [math.inf, -math.inf, math.nan, 0.0, -0.0])), max_size=20))
+def test_histogram_buckets_match_a_linear_scan(buckets, values):
+    h = MetricsRegistry().histogram("x_seconds", buckets=buckets)
+    child = h.labels()
+    bounds = sorted(buckets)
+    want = [0] * (len(bounds) + 1)
+    for v in values:
+        child.observe(v)
+        # the first bound the value does not exceed, else +Inf
+        want[next((i for i, b in enumerate(bounds) if v <= b), len(bounds))] += 1
+    cumulative = [sum(want[: i + 1]) for i in range(len(want))]
+    assert list(h.bucket_counts().values()) == cumulative
 
 
 def test_histogram_requires_buckets(registry):
@@ -131,6 +197,17 @@ def test_render_prometheus_golden():
         "transfer_duration_seconds_count 2\n"
     )
     assert registry.render_prometheus() == expected
+
+
+def test_render_prometheus_writes_nan_and_infinities(registry):
+    g = registry.gauge("level", labelnames=("k",))
+    g.set(float("nan"), k="a")
+    g.set(-math.inf, k="b")
+    g.set(math.inf, k="c")
+    out = registry.render_prometheus()
+    assert 'level{k="a"} NaN\n' in out
+    assert 'level{k="b"} -Inf\n' in out
+    assert 'level{k="c"} +Inf\n' in out
 
 
 def test_render_prometheus_escapes_label_values(registry):

@@ -69,3 +69,74 @@ def test_a_run_that_exits_nonzero_has_no_digest(check_digests, monkeypatch, caps
     got = check_digests.run_digest("go_storm", 2, 6)
     assert got == ("none (run.py exited 1)" if code else "5c41a7d5aea14530")
     assert ("CHECK FAILED" in capsys.readouterr().err) == bool(code)
+
+
+# -- the traced counts (--calls) ------------------------------------------------
+
+
+def _committed_calls(check_digests):
+    return json.loads(check_digests.CALLS_BASELINE.read_text())
+
+
+def test_the_calls_baseline_covers_both_workloads_alike(check_digests):
+    baseline = _committed_calls(check_digests)
+    assert (baseline["seed"], baseline["seconds"]) == (1, 6)
+    calls = baseline["calls"]
+    assert sorted(calls) == ["go_many_users", "go_storm"]
+    names = set(calls["go_storm"])
+    assert names == set(calls["go_many_users"])
+    assert all(n.endswith(".calls") or n.startswith("opcount.") for n in names)
+    assert "sim.faults_query.calls" in names and "opcount.rsa.sign" in names
+
+
+@pytest.mark.parametrize("moved", [None, "gridftp.session_handle.calls", "opcount.rsa.sign"])
+def test_any_moved_count_fails_the_gate_by_name(check_digests, monkeypatch, capsys, moved):
+    baseline = _committed_calls(check_digests)
+    runs = []
+
+    def run_calls(workload, seed, seconds):
+        runs.append((workload, seed, seconds))
+        got = dict(baseline["calls"][workload])
+        if moved and workload == "go_storm":
+            got[moved] += 1
+        return got
+
+    monkeypatch.setattr(check_digests, "run_calls", run_calls)
+    assert check_digests.main(["--calls"]) == (1 if moved else 0)
+    assert sorted(runs) == [("go_many_users", 1, 6), ("go_storm", 1, 6)]
+    out = capsys.readouterr().out
+    assert out.count("DIFFERS") == (1 if moved else 0)
+    if moved:
+        want = baseline["calls"]["go_storm"][moved]
+        assert f"go_storm {moved}: committed {want}, now {want + 1}  DIFFERS" in out
+
+
+def test_a_traced_run_reports_only_its_counts(check_digests, monkeypatch):
+    metrics = {
+        "gridftp.session_handle.calls": {"value": 7, "unit": "count"},
+        "gridftp.session_handle.self_s": {"value": 0.5, "unit": "s"},
+        "gridftp.pool.reuse_ratio": {"value": 0.9, "unit": "ratio"},
+        "opcount.rsa.sign": {"value": 3, "unit": "count"},
+    }
+    stdout = "  per-layer table\n" + json.dumps({"correct": True, "metrics": metrics}) + "\n"
+    argv_seen = []
+
+    def run(argv, **kwargs):
+        argv_seen.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(check_digests.subprocess, "run", run)
+    assert check_digests.run_calls("go_storm", 1, 6) == {
+        "gridftp.session_handle.calls": 7, "opcount.rsa.sign": 3}
+    assert argv_seen[0][-2:] == ["--trace", "1"]
+
+
+def test_a_traced_run_that_fails_its_checks_has_no_counts(check_digests, monkeypatch, capsys):
+    stdout = "CHECK FAILED: sim.faults_query.calls is 0 on go_storm; expected > 0\n{}\n"
+
+    def run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 1, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(check_digests.subprocess, "run", run)
+    assert check_digests.run_calls("go_storm", 1, 6) == "none (run.py exited 1)"
+    assert "CHECK FAILED" in capsys.readouterr().err
