@@ -5,8 +5,9 @@ route's links and hosts, and which of the channel's two endpoints, have
 any scheduled fault, stamped with the fault plan's ``version``; on a
 route with no fault they skip the per-call up-checks.  This test runs a
 random interleaving of fault mutations (at arbitrary virtual times),
-``clear()``, clock advances, requests on a long-lived and on pooled
-control channels, and transfers on a cached profile, twice: once with
+``clear()``, a new plan in place of the old one, a new shorter route,
+clock advances, requests on a long-lived and on pooled control
+channels, and transfers on a cached profile, twice: once with
 the stamps, and once with the reference below, which asks the plan on
 every call as every command and transfer once did.  Each step must end
 the same way in both runs: the same exception type and message, or the
