@@ -244,7 +244,8 @@ class ControlChannelPool:
         network = world.network
         try:
             path = network.path(client.host, address[0])
-            network.check_path_up(path)
+            if not channel.route_clear(path):
+                network.check_path_up(path)
         except Exception:
             self._discard(entry)
             self._miss()
@@ -696,7 +697,11 @@ class ClientSession:
 
     def supports(self, feature: str) -> bool:
         """True if the server advertises ``feature`` in FEAT."""
-        return feature.upper() in {f.upper() for f in self.features()}
+        wanted = feature.upper()
+        for label in self.features():
+            if label.upper() == wanted:
+                return True
+        return False
 
     def quit(self) -> None:
         """Close the session (QUIT)."""

@@ -16,19 +16,6 @@ from repro.errors import ProtocolError
 
 
 @dataclass(frozen=True)
-class Command:
-    """A parsed command line."""
-
-    verb: str
-    arg: str
-
-    @property
-    def line(self) -> str:
-        """The full command line, verb plus argument."""
-        return f"{self.verb} {self.arg}".rstrip()
-
-
-@dataclass(frozen=True)
 class CommandSpec:
     """Registry metadata for one verb."""
 
@@ -86,13 +73,16 @@ _register("ESTO", True, feature="ESTO", help="Extended store (partial file)")
 _register("DCSC", True, feature="DCSC", help="Data channel security context")
 
 
-def parse_command(line: str) -> Command:
-    """Split a raw line into verb + argument (verb upper-cased)."""
+def parse_command(line: str) -> tuple[str, str]:
+    """Split a raw line into ``(verb, argument)``, the verb upper-cased.
+
+    A pair, not an object: the server parses every line it receives.
+    """
     stripped = line.strip()
     if not stripped:
         raise ProtocolError("empty command line", code=500)
     verb, _, arg = stripped.partition(" ")
-    return Command(verb=verb.upper(), arg=arg.strip())
+    return verb.upper(), arg.strip()
 
 
 def lookup(verb: str) -> CommandSpec | None:

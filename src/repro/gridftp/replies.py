@@ -12,9 +12,13 @@ from dataclasses import dataclass
 from repro.errors import ProtocolError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Reply:
-    """One control-channel reply."""
+    """One control-channel reply.
+
+    Logically immutable; slotted, not frozen, because the client parses
+    one from every reply it receives (DESIGN §17, *Hot value objects*).
+    """
 
     code: int
     text: str
@@ -66,7 +70,7 @@ class Reply:
             code = int(head)
         except ValueError:
             raise ProtocolError(f"malformed reply line: {line!r}") from None
-        return Reply(code=code, text=text)
+        return Reply(code, text)
 
 
 # -- the codes this server emits ------------------------------------------------

@@ -49,6 +49,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gsi.authz import AuthorizationCallout
     from repro.sim.world import World
 
+# The reply lines the server sends unchanged, rendered once: every
+# command answers with one, and ``str(Reply)`` is an f-string per call.
+_BANNER = str(R.BANNER)
+_OPENING_DATA = str(R.OPENING_DATA)
+_COMMAND_OK = str(R.COMMAND_OK)
+_TRANSFER_COMPLETE = str(R.TRANSFER_COMPLETE)
+_LOGGED_IN = str(R.LOGGED_IN)
+_SECURITY_OK = str(R.SECURITY_OK)
+_NEED_MORE_INFO = str(R.NEED_MORE_INFO)
+_SERVICE_UNAVAILABLE = str(R.SERVICE_UNAVAILABLE)
+_UNRECOGNIZED = str(R.UNRECOGNIZED)
+_BAD_PARAMETER = str(R.BAD_PARAMETER)
+_NOT_LOGGED_IN = str(R.NOT_LOGGED_IN)
+_GOODBYE = str(R.GOODBYE)
+
+
+def _feat_reply(dcsc_enabled: bool) -> tuple[str, ...]:
+    head = R.FEATURES_FOLLOW
+    labels = feature_labels(dcsc_enabled)
+    return (f"{head.code}-{head.text}", *(f" {label}" for label in labels), "211 End")
+
+
+# The registry is fixed at import, so FEAT has one body per DCSC setting.
+_FEAT_DCSC = _feat_reply(True)
+_FEAT_LEGACY = _feat_reply(False)
+
 
 @dataclass
 class TransferIntent:
@@ -216,46 +242,46 @@ class GridFTPSession(ServerSession):
         self.pending: list[TransferIntent] = []
         self._rnfr: str | None = None
         self.closed = False
-        self.banner = str(R.BANNER)
+        self.banner = _BANNER
 
     # -- dispatch -----------------------------------------------------------------
 
     def handle(self, line: str) -> list[str]:
         """Process one command line; return reply lines."""
         if self.closed:
-            return [str(R.SERVICE_UNAVAILABLE)]
+            return [_SERVICE_UNAVAILABLE]
         try:
-            cmd = parse_command(line)
+            verb, arg = parse_command(line)
         except ProtocolError:
-            return [str(R.UNRECOGNIZED)]
-        spec = lookup(cmd.verb)
+            return [_UNRECOGNIZED]
+        spec = lookup(verb)
         world = self.world
         server_name = self.server.name
         with world.tracer.span(
-            "gridftp.command", verb=cmd.verb, server=server_name
+            "gridftp.command", verb=verb, server=server_name
         ):
             world.emit("gridftp.command", "command", server=server_name,
-                       verb=cmd.verb, client=self.client_host)
-            counter = self.server._cmd_counters.get(cmd.verb)
+                       verb=verb, client=self.client_host)
+            counter = self.server._cmd_counters.get(verb)
             if counter is None:
-                counter = self.server._cmd_counters[cmd.verb] = self.world.metrics.counter(
+                counter = self.server._cmd_counters[verb] = self.world.metrics.counter(
                     "gridftp_commands_total", "Control-channel commands dispatched",
                     labelnames=("verb",),
-                ).labels(verb=cmd.verb)
+                ).labels(verb=verb)
             counter.inc()
             if spec is None:
-                return [str(R.UNRECOGNIZED)]
+                return [_UNRECOGNIZED]
             if spec.requires_auth and self.account is None:
-                return [str(R.NOT_LOGGED_IN)]
-            handler = _HANDLERS.get(cmd.verb)
+                return [_NOT_LOGGED_IN]
+            handler = _HANDLERS.get(verb)
             if handler is None:
-                return [str(R.UNRECOGNIZED)]
+                return [_UNRECOGNIZED]
             try:
-                return handler(self, cmd.arg)
+                return handler(self, arg)
             except ProtocolError as exc:
                 return [f"{exc.code} {exc}"]
             except StorageError as exc:
-                return [str(R.file_unavailable(cmd.arg or self.cwd, str(exc)))]
+                return [str(R.file_unavailable(arg or self.cwd, str(exc)))]
 
     def close(self) -> None:
         """Tear down per-connection state and leave the server's sessions."""
@@ -318,7 +344,7 @@ class GridFTPSession(ServerSession):
         self.auth_pending = False
         self.world.emit("gridftp.auth.ok", "control channel authenticated",
                         server=self.server.name, subject=str(self.peer.subject))
-        return [str(R.SECURITY_OK)]
+        return [_SECURITY_OK]
 
     def map_account(self, arg: str) -> "Account":
         """The local account USER ``arg`` maps the authenticated peer to.
@@ -334,7 +360,7 @@ class GridFTPSession(ServerSession):
 
     def _cmd_user(self, arg: str) -> list[str]:
         if self.peer is None:
-            return [str(R.NOT_LOGGED_IN)]
+            return [_NOT_LOGGED_IN]
         try:
             self.account = self.map_account(arg)
         except (AuthorizationError, PamError) as exc:
@@ -346,53 +372,53 @@ class GridFTPSession(ServerSession):
         self.world.emit("gridftp.authz.ok", "authorized",
                         server=self.server.name, subject=str(self.peer.identity),
                         local_user=self.account.username, callout=self.server.authz.name)
-        return [str(R.LOGGED_IN)]
+        return [_LOGGED_IN]
 
     def _cmd_pass(self, arg: str) -> list[str]:
         # GSI servers do not use passwords; accept as a no-op after USER.
-        return [str(R.COMMAND_OK)] if self.account else [str(R.NOT_LOGGED_IN)]
+        return [_COMMAND_OK] if self.account else [_NOT_LOGGED_IN]
 
     # -- session parameters ------------------------------------------------------------
 
     def _cmd_type(self, arg: str) -> list[str]:
         if arg.upper() not in ("I", "A"):
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         self.type_ = arg.upper()
-        return [str(R.COMMAND_OK)]
+        return [_COMMAND_OK]
 
     def _cmd_mode(self, arg: str) -> list[str]:
         if arg.upper() not in ("S", "E"):
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         self.mode = arg.upper()
-        return [str(R.COMMAND_OK)]
+        return [_COMMAND_OK]
 
     def _cmd_opts(self, arg: str) -> list[str]:
         # OPTS RETR Parallelism=8,8,8;
         head, _, rest = arg.partition(" ")
         if head.upper() != "RETR":
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         for clause in rest.strip().rstrip(";").split(";"):
             key, _, value = clause.partition("=")
             if key.strip().lower() == "parallelism":
                 try:
                     self.parallelism = max(1, int(value.split(",")[0]))
                 except ValueError:
-                    return [str(R.BAD_PARAMETER)]
-        return [str(R.COMMAND_OK)]
+                    return [_BAD_PARAMETER]
+        return [_COMMAND_OK]
 
     def _cmd_pbsz(self, arg: str) -> list[str]:
         try:
             int(arg)
         except ValueError:
-            return [str(R.BAD_PARAMETER)]
-        return [str(R.COMMAND_OK)]
+            return [_BAD_PARAMETER]
+        return [_COMMAND_OK]
 
     def _cmd_prot(self, arg: str) -> list[str]:
         try:
             self.protection = Protection(arg.strip().upper())
         except ValueError:
-            return [str(R.BAD_PARAMETER)]
-        return [str(R.COMMAND_OK)]
+            return [_BAD_PARAMETER]
+        return [_COMMAND_OK]
 
     def _cmd_dcau(self, arg: str) -> list[str]:
         # parse everything before touching state: a rejected DCAU must
@@ -404,46 +430,46 @@ class GridFTPSession(ServerSession):
             if mode is DCAUMode.SUBJECT:
                 subject = DistinguishedName.parse(parts[1])
         except (IndexError, DCAUError, CertificateError):
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         self.dcau_mode = mode
         self.dcau_subject = subject
-        return [str(R.COMMAND_OK)]
+        return [_COMMAND_OK]
 
     def _cmd_sbuf(self, arg: str) -> list[str]:
         try:
             window = int(arg)
         except ValueError:
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         if window <= 0:
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         self.tcp_window = window
-        return [str(R.COMMAND_OK)]
+        return [_COMMAND_OK]
 
     def _cmd_rest(self, arg: str) -> list[str]:
         self.restart = parse_restart_marker(arg)
-        return [str(R.NEED_MORE_INFO)]
+        return [_NEED_MORE_INFO]
 
     def _cmd_dcsc(self, arg: str) -> list[str]:
         if not self.server.dcsc_enabled:
             # "a legacy GridFTP server that knows nothing about DCSC"
-            return [str(R.UNRECOGNIZED)]
+            return [_UNRECOGNIZED]
         parts = arg.split(None, 1)
         if not parts:
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         ctx_type = parts[0].upper()
         if ctx_type == "D":
             self.dcsc = None
             self.world.emit("gridftp.dcsc", "context reverted to default",
                             server=self.server.name)
-            return [str(R.COMMAND_OK)]
+            return [_COMMAND_OK]
         if ctx_type == "P":
             if len(parts) < 2:
-                return [str(R.BAD_PARAMETER)]
+                return [_BAD_PARAMETER]
             self.dcsc = decode_dcsc_blob(parts[1], self.world.now, self.server.dcsc_memo)
             self.world.emit("gridftp.dcsc", "context installed",
                             server=self.server.name,
                             subject=str(self.dcsc.credential.subject))
-            return [str(R.COMMAND_OK)]
+            return [_COMMAND_OK]
         return [f"501 Unknown DCSC context type {ctx_type!r}."]
 
     # -- data port negotiation -----------------------------------------------------------
@@ -476,8 +502,8 @@ class GridFTPSession(ServerSession):
         try:
             self.remote_ports = [(host, int(port_s))]
         except ValueError:
-            return [str(R.BAD_PARAMETER)]
-        return [str(R.COMMAND_OK)]
+            return [_BAD_PARAMETER]
+        return [_COMMAND_OK]
 
     def _cmd_spor(self, arg: str) -> list[str]:
         ports: list[tuple[str, int]] = []
@@ -486,11 +512,11 @@ class GridFTPSession(ServerSession):
             try:
                 ports.append((host, int(port_s)))
             except ValueError:
-                return [str(R.BAD_PARAMETER)]
+                return [_BAD_PARAMETER]
         if not ports:
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         self.remote_ports = ports
-        return [str(R.COMMAND_OK)]
+        return [_COMMAND_OK]
 
     # -- namespace commands ------------------------------------------------------------
 
@@ -530,7 +556,7 @@ class GridFTPSession(ServerSession):
         target = self._resolve(arg)
         self.server.dsi.stat(target, self.uid)  # 550 if missing
         self._rnfr = target
-        return [str(R.NEED_MORE_INFO)]
+        return [_NEED_MORE_INFO]
 
     def _cmd_rnto(self, arg: str) -> list[str]:
         if self._rnfr is None:
@@ -560,7 +586,7 @@ class GridFTPSession(ServerSession):
         # command are accepted and ignored when numeric)
         parts = [p for p in arg.split() if p]
         if len(parts) < 2:
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         algorithm = parts[0]
         path = parts[-1]
         try:
@@ -570,22 +596,20 @@ class GridFTPSession(ServerSession):
         return [f"213 {digest}"]
 
     def _cmd_feat(self, arg: str) -> list[str]:
-        lines = [f"{R.FEATURES_FOLLOW.code}-{R.FEATURES_FOLLOW.text}"]
-        lines.extend(f" {label}" for label in feature_labels(self.server.dcsc_enabled))
-        lines.append("211 End")
-        return lines
+        # the flag is read per FEAT: it may change on a live server
+        return list(_FEAT_DCSC if self.server.dcsc_enabled else _FEAT_LEGACY)
 
     def _cmd_noop(self, arg: str) -> list[str]:
-        return [str(R.COMMAND_OK)]
+        return [_COMMAND_OK]
 
     def _cmd_quit(self, arg: str) -> list[str]:
         self.close()
-        return [str(R.GOODBYE)]
+        return [_GOODBYE]
 
     def _cmd_abor(self, arg: str) -> list[str]:
         self.pending.clear()
         self.restart = None
-        return [str(R.TRANSFER_COMPLETE)]
+        return [_TRANSFER_COMPLETE]
 
     # -- transfers ---------------------------------------------------------------------
 
@@ -598,7 +622,7 @@ class GridFTPSession(ServerSession):
             TransferIntent(direction="send", path=path, data=data, needed=needed)
         )
         self.restart = None
-        return [str(R.OPENING_DATA)]
+        return [_OPENING_DATA]
 
     def _cmd_stor(self, arg: str) -> list[str]:
         # the expected size arrives with the data in mode E, so sink_end()
@@ -608,33 +632,33 @@ class GridFTPSession(ServerSession):
             direction="recv", path=self._resolve(arg), resume=self.restart is not None
         ))
         self.restart = None
-        return [str(R.OPENING_DATA)]
+        return [_OPENING_DATA]
 
     def _cmd_eret(self, arg: str) -> list[str]:
         # ERET P <offset> <length> <path> — partial retrieve
         parts = arg.split()
         if len(parts) != 4 or parts[0].upper() != "P":
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         try:
             offset, length = int(parts[1]), int(parts[2])
         except ValueError:
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         path = self._resolve(parts[3])
         data = self.server.dsi.open_read(path, self.uid)
         needed = ByteRangeSet([(offset, min(offset + length, data.size))])
         self.pending.append(
             TransferIntent(direction="send", path=path, data=data, needed=needed)
         )
-        return [str(R.OPENING_DATA)]
+        return [_OPENING_DATA]
 
     def _cmd_esto(self, arg: str) -> list[str]:
         # ESTO A <offset> <path> — adjusted store (append at offset)
         parts = arg.split()
         if len(parts) != 3 or parts[0].upper() != "A":
-            return [str(R.BAD_PARAMETER)]
+            return [_BAD_PARAMETER]
         path = self._resolve(parts[2])
         self.pending.append(TransferIntent(direction="recv", path=path, resume=True))
-        return [str(R.OPENING_DATA)]
+        return [_OPENING_DATA]
 
     # -- engine-facing accessors -----------------------------------------------------
 

@@ -95,9 +95,8 @@ class TransferOptions:
 class TransferResult:
     """Outcome of a completed transfer.
 
-    Logically immutable; not ``frozen=True`` because a frozen dataclass
-    ``__init__`` goes through ``object.__setattr__`` per field and this
-    object is built once per transfer on the fleet hot path.
+    Logically immutable; slotted, not frozen, because one is built for
+    every transfer (DESIGN §17, *Hot value objects*).
     """
 
     nbytes: int

@@ -95,6 +95,19 @@ class ControlChannel:
         )
         self._stamp = (faults, faults.version)
 
+    def route_clear(self, stats: "PathStats") -> bool:
+        """True when ``stats`` is this channel's route and its current
+        exposure says no outage can touch it, so an up-check could not
+        raise.  The pool asks this before it replays a parked login."""
+        faults = self.network.world.faults
+        plan, version = self._stamp
+        return (
+            stats is self._path
+            and plan is faults
+            and version == faults.version
+            and not self._path_exposed
+        )
+
     def _check_open(self) -> None:
         if self.closed or self._session is None:
             raise NetworkError("channel is closed")

@@ -65,7 +65,13 @@ class Credential:
 
     def valid_at(self, t: float) -> bool:
         """True iff every certificate in the chain is within its validity."""
-        return all(c.valid_at(t) for c in self.chain)
+        # a loop, not all() over a generator: the pool asks this on every
+        # checkout and release, and a generator stopped early is closed
+        # by raising GeneratorExit into it
+        for cert in self.chain:
+            if not cert.valid_at(t):
+                return False
+        return True
 
     def expires_at(self) -> float:
         """Earliest not_after over the chain."""

@@ -134,12 +134,14 @@ def validate_chain(
     pool = list(chain) + list(extra_intermediates)
 
     # -- validity windows ------------------------------------------------
+    # decided by Certificate.valid_at, the one validity predicate (a NaN
+    # `now` fails it); the comparison after only picks the message
     for cert in chain:
-        if now < cert.not_before:
-            raise CertificateError(
-                f"certificate for {cert.subject} not yet valid at t={now}"
-            )
-        if now > cert.not_after:
+        if not cert.valid_at(now):
+            if now < cert.not_before:
+                raise CertificateError(
+                    f"certificate for {cert.subject} not yet valid at t={now}"
+                )
             raise CertificateError(f"certificate for {cert.subject} expired at t={now}")
 
     # -- walk leaf -> anchor, completing the chain from the pool ----------

@@ -28,8 +28,9 @@ class Clock:
         """Move time forward by ``dt`` seconds and return the new time.
 
         Negative advances are a programming error: the clock is monotonic.
+        So is a NaN step, which would leave the clock reading NaN for good.
         """
-        if dt < 0:
+        if not dt >= 0:  # written to refuse NaN, which fails every comparison
             raise ValueError(f"clock cannot move backwards (dt={dt})")
         self._now += dt
         return self._now

@@ -20,9 +20,13 @@ from repro.storage.data import FileData, PartialData, SyntheticData
 from repro.util.ranges import ByteRangeSet
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FileStat:
-    """Metadata for one path."""
+    """Metadata for one path.
+
+    Logically immutable; slotted, not frozen, because every SIZE and
+    every size hint builds one (DESIGN §17, *Hot value objects*).
+    """
 
     path: str
     size: int

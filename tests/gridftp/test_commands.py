@@ -12,20 +12,19 @@ from repro.gridftp.commands import (
 
 
 def test_parse_verb_and_arg():
-    cmd = parse_command("RETR /data/file.dat")
-    assert cmd.verb == "RETR"
-    assert cmd.arg == "/data/file.dat"
+    assert parse_command("RETR /data/file.dat") == ("RETR", "/data/file.dat")
 
 
 def test_parse_lowercase_verb_normalized():
-    assert parse_command("retr x").verb == "RETR"
+    assert parse_command("retr x") == ("RETR", "x")
 
 
 def test_parse_no_arg():
-    cmd = parse_command("PASV")
-    assert cmd.verb == "PASV"
-    assert cmd.arg == ""
-    assert cmd.line == "PASV"
+    assert parse_command("PASV") == ("PASV", "")
+
+
+def test_parse_strips_the_line_and_the_argument():
+    assert parse_command("  cksm   sha256 /a b  \r\n") == ("CKSM", "sha256 /a b")
 
 
 def test_parse_empty_line_rejected():

@@ -37,12 +37,45 @@ def test_unknown_command(session):
     assert last_code(ss.handle("")) == 500
 
 
+@pytest.mark.parametrize("line, replies", [
+    ("pwd", ['257 "/home/alice" is the current directory.']),
+    ("  Type   i  ", ["200 Command okay."]),
+    ("\tNOOP\r\n", ["200 Command okay."]),
+    ("TYPE", ["501 Syntax error in parameters or arguments."]),
+    ("   ", ["500 Syntax error, command unrecognized."]),
+    ("frob x", ["500 Syntax error, command unrecognized."]),
+], ids=["lower-case", "whitespace", "bare-noop", "bare-type", "blank", "unknown"])
+def test_dispatch_replies(session, line, replies):
+    world, site, ss, cs = session
+    assert ss.handle(line) == replies
+
+
 def test_feat_lists_extensions(session):
     world, site, ss, cs = session
     lines = ss.handle("FEAT")
     assert lines[0].startswith("211-")
     assert lines[-1] == "211 End"
     assert any("DCSC" in l for l in lines)
+
+
+def test_feat_follows_the_dcsc_flag_both_ways(session):
+    world, site, ss, cs = session
+    with_dcsc = ss.handle("FEAT")
+    site.server.dcsc_enabled = False
+    legacy = ss.handle("FEAT")
+    site.server.dcsc_enabled = True
+    assert ss.handle("FEAT") == with_dcsc
+    assert " DCSC" in with_dcsc
+    assert legacy == [line for line in with_dcsc if line != " DCSC"]
+
+
+def test_a_mutated_feat_reply_leaves_the_next_one_alone(session):
+    world, site, ss, cs = session
+    first = ss.handle("FEAT")
+    expected = list(first)
+    first.append(" BOGUS")
+    first[1] = " EDITED"
+    assert ss.handle("FEAT") == expected
 
 
 def test_type_and_mode(session):

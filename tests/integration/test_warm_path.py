@@ -10,8 +10,9 @@ each job pays for it, and cProfile charges the cost to the builtin that
 raised, where it is easy to miss.  One guard counts every exception
 raised, in any frame, while a warm drain runs, and requires none.
 Failure paths (faults, refused logins) raise by design and are left out
-of the drain.  The other counts the registry lookups, label-set freezes
-and control-fault queries the drain makes, and requires none per job.
+of the drain.  The other counts the registry lookups, label-set freezes,
+control-fault and route-fault queries and FEAT label sorts the drain
+makes, and requires none per job.
 """
 
 import os
@@ -19,6 +20,7 @@ import sys
 from collections import Counter
 
 from repro.globusonline.transfer import JobStatus
+from repro.gridftp import commands
 from repro.sim.faults import FaultPlan
 from repro.telemetry import metrics
 from repro.util.units import KB, MB
@@ -105,6 +107,14 @@ def _count_calls(monkeypatch, owner, name, calls, kind):
     monkeypatch.setattr(owner, name, counted)
 
 
+def _count_function_calls(monkeypatch, fn, calls, kind):
+    """Count calls to ``fn`` through every module of the package that binds it."""
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro.")
+                and getattr(module, fn.__name__, None) is fn):
+            _count_calls(monkeypatch, module, fn.__name__, calls, kind)
+
+
 def test_a_warm_drain_resolves_instruments_and_fault_exposure_once(world, cache_on,
                                                                    monkeypatch):
     go, ep_a, _ = build(world)
@@ -116,9 +126,15 @@ def test_a_warm_drain_resolves_instruments_and_fault_exposure_once(world, cache_
         _count_calls(monkeypatch, metrics.MetricsRegistry, name, calls, "registry")
     _count_calls(monkeypatch, metrics, "_freeze_labels", calls, "freeze")
     _count_calls(monkeypatch, FaultPlan, "control_down", calls, "control_down")
+    # a pooled checkout reads its parked channel's stamped exposure
+    _count_calls(monkeypatch, FaultPlan, "faulted", calls, "faulted")
+    # FEAT answers with a body built at import
+    _count_function_calls(monkeypatch, commands.feature_labels, calls, "feature_labels")
     jobs = _wave(go, ep_a, accounts, 1)
     assert [j.status for j in warm_up + jobs] == [JobStatus.SUCCEEDED] * 16
     # the drain's one lookup: the pool's reuse-ratio gauge, set as it ends
     assert calls["registry"] <= 1
     assert calls["freeze"] == 0
     assert calls["control_down"] == 0
+    assert calls["faulted"] == 0
+    assert calls["feature_labels"] == 0

@@ -1,6 +1,7 @@
 """Chain validation — the machinery behind Figures 4 and 5."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -84,6 +85,14 @@ def test_not_yet_valid_rejected(env):
     )
     with pytest.raises(CertificateError, match="not yet valid"):
         validate_chain([future, ca_a.certificate], trust_a, clock.now)
+
+
+def test_a_nan_check_time_is_rejected(env):
+    """At NaN no window holds: the chain is refused, as valid_at refuses it."""
+    clock, rng, ca_a, ca_b, alice, trust_a, trust_b = env
+    assert not alice.valid_at(math.nan)
+    with pytest.raises(CertificateError, match="at t=nan"):
+        validate_chain(alice.chain, trust_a, math.nan)
 
 
 def test_empty_chain_rejected(env):

@@ -9,9 +9,11 @@ random interleaving of fault mutations (at arbitrary virtual times),
 clock advances, requests on a long-lived and on pooled control
 channels, and transfers on a cached profile, twice: once with
 the stamps, and once with the reference below, which asks the plan on
-every call as every command and transfer once did.  Each step must end
-the same way in both runs: the same exception type and message, or the
-same result, at the same virtual instant.
+every call as every command and transfer once did.  A pooled checkout
+skips its route's up-check when the parked channel's stamp says the
+route is unchanged and clean; the reference always checks.  Each step
+must end the same way in both runs: the same exception type and
+message, or the same result, at the same virtual instant.
 """
 
 import math
@@ -43,6 +45,11 @@ def _reference_check_open(self):
             raise ControlChannelDownError(
                 f"control channel to {host} is down at t={now:.3f}"
             )
+
+
+def _reference_route_clear(self, stats):
+    """Every pooled checkout checks its route."""
+    return False
 
 
 def _reference_exposure(self, world):
@@ -158,6 +165,16 @@ def _run(ops) -> list[tuple]:
 # one, whose link goes down during the replayed login
 @example(ops=[("cut_link", "laptop-server1", 0.1158, 9.0), ("pooled",), ("reroute",),
               ("pooled",), ("request",)])
+# a fault scheduled while the channel is parked, down at checkout
+@example(ops=[("pooled",), ("cut_link", "r1-server1", 0.0, 5.0), ("pooled",),
+              ("advance", 6.0), ("pooled",)])
+# an outage scheduled before the channel was parked begins while it sits
+@example(ops=[("cut_link", "r1-server1", 1.0, 5.0), ("pooled",), ("advance", 2.0),
+              ("pooled",)])
+# a topology change while the channel is parked: the new route is down
+# at checkout though the parked route's stamp is current and clean
+@example(ops=[("cut_link", "laptop-server1", 0.0, 9.0), ("pooled",), ("reroute",),
+              ("pooled",), ("advance", 10.0), ("pooled",)])
 # a link that goes down after RETR's check but before the data moves
 @example(ops=[("cut_link", "laptop-r1", 0.12, 5.0), ("reconnect",), ("get",)])
 # the cached profile too must tell a new plan from the old one
@@ -177,6 +194,7 @@ def test_stamped_checks_match_the_per_call_reference(cached, ops):
             mp.setenv("REPRO_NO_SESSION_CACHE", "1")
         stamped = _run(ops)
         mp.setattr(ControlChannel, "_check_open", _reference_check_open)
+        mp.setattr(ControlChannel, "route_clear", _reference_route_clear)
         mp.setattr(_TransferProfile, "exposure", _reference_exposure)
         reference = _run(ops)
     assert stamped == reference

@@ -1,5 +1,7 @@
 """Virtual clock."""
 
+import math
+
 import pytest
 
 from repro.sim.clock import Clock
@@ -40,3 +42,12 @@ def test_zero_advance_allowed():
     c = Clock(3.0)
     c.advance(0.0)
     assert c.now == 3.0
+
+
+def test_nan_advance_rejected_and_the_clock_keeps_its_time():
+    c = Clock(7.0)
+    with pytest.raises(ValueError):
+        c.advance(math.nan)
+    assert c.now == 7.0
+    assert c.advance(5.0) == 12.0
+    assert c.advance_to(100.0) == 100.0
